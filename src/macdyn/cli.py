@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ from . import insertions as ins
 from . import oracle as orc
 from . import simulator as sim
 from .arrays import InterlacingArray
-from .errors import InvalidInput, InvariantViolation, ResourceLimit
+from .errors import Infeasible, InvalidInput, InvariantViolation, ResourceLimit
 from .macdonald import MacParams, SCHUR
 
 
@@ -29,6 +30,12 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as "-2,3" (a signature with a negative coordinate) is a
+        # value, not an option: argparse only knows lone negative numbers
+        self._negative_number_matcher = re.compile(r"^-\d*\.\d+$|^-\d[\d,;-]*$")
+
     def error(self, message):
         raise _CliError(message)
 
@@ -215,7 +222,7 @@ def _cmd_classify(args) -> int:
                 entry["decomposition"] = {str(kk): _fmt(v) for kk, v in sorted(
                     thetas.items(), key=lambda kv: str(kv[0])
                 )}
-            except cl.UnsupportedBasis as exc:
+            except (cl.UnsupportedBasis, Infeasible) as exc:
                 entry["decomposition"] = {"error": str(exc)}
         record["solutions"][name] = entry
     _write([_json_line(record)], args.out)
@@ -384,7 +391,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvalidInput as exc:
+    except (InvalidInput, Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InvariantViolation, ResourceLimit) as exc:

@@ -1,14 +1,21 @@
 """Continuous-time event-driven simulation of multivariate dynamics on
 interlacing arrays, plus the standalone one-dimensional particle systems.
 
-The Gillespie loop recomputes all jump rates after every event; a cascade is
-applied strictly bottom-up, with the slice quantities for a propagation step
-evaluated on the post-move lower row and pre-move upper row.
+The Gillespie loop (Gillespie's direct method) keeps one list of jump rates
+per level.  An event whose cascade moves rows k..K changes only the slices at
+levels k..K+1, so only those levels are rebuilt (level 1's rate is constant) and only those row pairs are
+checked for interlacing (the dependency-graph idea of Gibson and Bruck's
+next-reaction method).  The total rate and the selection walk still add the
+rates level by level in index order, so every run is bit-identical to
+rebuilding all levels after every event.  A cascade is applied strictly
+bottom-up, with the slice quantities for a propagation step evaluated on the
+post-move lower row and pre-move upper row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +100,16 @@ class DynamicsSpec:
                 if (comp.params, comp.a, comp.depth) != (self.params, self.a, self.depth):
                     raise InvalidInput("mixing components must share params, a, and depth")
 
+    @cached_property
+    def _slice_cache(self) -> dict | None:
+        """The (nu_bar, lam) -> slice data table of this dynamics, shared by
+        equal specs; None when slice weights are a callable (nothing cached).
+
+        Computed once per spec, so the hot loop never builds or hashes the
+        spec's cache key."""
+        key = _spec_cache_key(self)
+        return None if key is None else _SLICE_CACHE.setdefault(key, {})
+
 
 def _level_kind(spec: DynamicsSpec, k: int):
     if spec.recipe == "pb":
@@ -106,8 +123,13 @@ def _level_kind(spec: DynamicsSpec, k: int):
     return None
 
 
+def _F_values(ctx: SliceContext) -> list:
+    """[F_1, ..., F_{k+1}] of the slice."""
+    return [F_quant(ctx, j) for j in range(1, ctx.k + 2)]
+
+
 def _oc_nn_solution(ctx: SliceContext) -> SliceSolution:
-    F = [F_quant(ctx, j) for j in range(1, ctx.k + 2)]
+    F = _F_values(ctx)
     w = {m: (1 - F[m - 1]) * F[m] for m in ctx.free}
     c = {j: f_quant(ctx, j) for j in ctx.pushers}
     return SliceSolution(w=w, c=dict(c), r=dict(c))
@@ -154,32 +176,44 @@ def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
     raise InvalidInput(f"recipe {spec.recipe!r} has no slice solution")
 
 
-def _oc_F(ctx: SliceContext) -> list:
-    return [F_quant(ctx, j) for j in range(1, ctx.k + 2)]
-
-
 _SLICE_CACHE: dict = {}
 
 
 def clear_caches() -> None:
+    for table in _SLICE_CACHE.values():
+        table.clear()  # specs keep a reference to their table
     _SLICE_CACHE.clear()
 
 
-def _spec_cache_key(spec: DynamicsSpec, k: int):
+def _typed(value) -> tuple:
+    # Fraction(1, 2) == 0.5 and both hash alike, but exact and float slice
+    # solves round differently, so they must not share a cache entry
+    return type(value), value
+
+
+def _spec_cache_key(spec: DynamicsSpec):
+    """Everything that determines the slice data of spec, or None when the
+    slice weights are a callable and nothing is cached."""
     if spec.recipe == "mixing" and callable(spec.weights):
         return None
-    return (spec.recipe, spec.h, spec.weights, spec.params.q, spec.params.t, k)
+    return (
+        spec.recipe,
+        spec.h,
+        _typed(spec.params.q),
+        _typed(spec.params.t),
+        tuple(_typed(v) for v in (() if spec.weights is None else spec.weights)),
+        tuple(_spec_cache_key(comp) for comp in spec.components),
+    )
 
 
 def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
     """Cached float view of the slice solution: (w items, c, r, xi table).
 
     States recur heavily during an ensemble, so the per-slice solve is
-    memoized on (recipe, level, slice)."""
-    marker = _spec_cache_key(spec, k)
-    key = (marker, nu_bar, lam) if marker is not None else None
-    if key is not None:
-        hit = _SLICE_CACHE.get(key)
+    memoized in the spec's table on the slice (the level is len(lam))."""
+    cache = spec._slice_cache
+    if cache is not None:
+        hit = cache.get((nu_bar, lam))
         if hit is not None:
             return hit
     sol = slice_solution(spec, k, nu_bar, lam)
@@ -203,19 +237,19 @@ def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
         r[j] = rj
         xi_of[j] = xi(nu_bar, lam, j)
     data = (w_items, c, r, xi_of)
-    if key is not None:
-        _SLICE_CACHE[key] = data
+    if cache is not None:
+        cache[(nu_bar, lam)] = data
     return data
 
 
 def _oc_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
     """Cached (rates, push tables) for the randomized-insertion recipe."""
-    key = ("oconnell-pei", spec.params.q, k, nu_bar, lam)
-    hit = _SLICE_CACHE.get(key)
+    cache = spec._slice_cache
+    hit = cache.get((nu_bar, lam))
     if hit is not None:
         return hit
     ctx = SliceContext(nu_bar, lam, spec.params)
-    F = [float(v) for v in _oc_F(ctx)]
+    F = [float(v) for v in _F_values(ctx)]
     f = [float(f_quant(ctx, i)) for i in range(1, k + 1)]
     rates = []
     for j in range(1, k + 1):
@@ -225,7 +259,7 @@ def _oc_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
         if rate:
             rates.append((j, rate))
     data = (tuple(rates), F, f)
-    _SLICE_CACHE[key] = data
+    cache[(nu_bar, lam)] = data
     return data
 
 
@@ -298,18 +332,31 @@ class Event:
         }
 
 
-def _check_interlacing(rows) -> None:
-    for k in range(1, len(rows)):
-        low, high = rows[k - 1], rows[k]
-        for j in range(len(low)):
-            if not (high[j + 1] <= low[j] <= high[j]):
-                raise InvariantViolation(f"interlacing broken between levels {k} and {k + 1}")
+def _check_interlacing(rows, cascade) -> None:
+    """Check the row pairs an event's cascade touched: it moved levels
+    low..high, so the pairs (k-1, k) for k = low..high+1 within the array."""
+    low, high = cascade[0][0], cascade[-1][0]
+    for k in range(max(low, 2), min(high + 1, len(rows)) + 1):
+        lower, upper = rows[k - 2], rows[k - 1]
+        for j in range(k - 1):
+            if not (upper[j + 1] <= lower[j] <= upper[j]):
+                raise InvariantViolation(
+                    f"interlacing broken between level {k - 1} row {tuple(lower)} and "
+                    f"level {k} row {tuple(upper)} by cascade {tuple(cascade)}"
+                )
 
 
 def trajectory_rng(seed, index: int = 0) -> np.random.Generator:
-    """Counter-based per-trajectory stream: Philox keyed by seed, jumped to the
-    trajectory index.  Equal (seed, index) reproduce bit-identical runs."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    """Counter-based per-trajectory stream: Philox keyed by seed, advanced by
+    index * 2**128 draws (the stream of ``Philox(key=seed).jumped(index)``).
+    Equal (seed, index) reproduce bit-identical runs."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(index << 128)
+    return np.random.Generator(bits)
+
+
+def _level_rates(spec: DynamicsSpec, rows, k: int) -> list:
+    return [(k, m, rate) for m, rate in jump_rates(spec, rows, k)]
 
 
 def simulate(
@@ -331,14 +378,14 @@ def simulate(
     if rng is None:
         rng = trajectory_rng(seed)
     rows = [list(r) for r in initial.levels]
+    # levels[k - 1] holds level k's (k, index, rate) entries in index order
+    levels = [_level_rates(spec, rows, k) for k in range(1, n + 1)]
     t = 0.0
     events: list[Event] = []
     while True:
-        entries = []
         total = 0.0
-        for k in range(1, n + 1):
-            for m, rate in jump_rates(spec, rows, k):
-                entries.append((k, m, rate))
+        for entries in levels:
+            for _, _, rate in entries:
                 total += rate
         if total <= 0:
             break
@@ -346,10 +393,15 @@ def simulate(
         if t > tau:
             break
         u = rng.random() * total
-        for k, m, rate in entries:
-            u -= rate
-            if u <= 0:
-                break
+        for entries in levels:
+            for entry in entries:
+                u -= entry[2]
+                if u <= 0:
+                    break
+            else:
+                continue
+            break
+        k, m, _ = entry  # the last entry when rounding leaves u > 0
         cascade = [(k, m, "jump")]
         prev = rows[k - 1][m - 1]
         rows[k - 1][m - 1] += 1
@@ -363,7 +415,9 @@ def simulate(
             rows[lvl - 1][target - 1] += 1
             cascade.append((lvl, target, cause))
             j = target
-        _check_interlacing(rows)
+        _check_interlacing(rows, cascade)
+        for lvl in range(max(k, 2), min(cascade[-1][0] + 1, n) + 1):  # level 1 is constant
+            levels[lvl - 1] = _level_rates(spec, rows, lvl)
         if log_events:
             events.append(Event(time=t, cascade=tuple(cascade)))
     return InterlacingArray(tuple(tuple(r) for r in rows)), events
@@ -379,21 +433,35 @@ def run_ensemble(
     workers: int = 1,
 ) -> list:
     """Simulate `samples` independent trajectories with per-trajectory Philox
-    streams; returns [collect(final_state)] ordered by trajectory index."""
-    collect = collect or (lambda arr: arr)
-    base = np.random.Philox(key=seed)
+    streams; returns [collect(final_state)] ordered by trajectory index.
 
-    def one(i: int):
-        rng = np.random.Generator(base.jumped(i))
-        final, _ = simulate(spec, tau, initial=initial, rng=rng, log_events=False)
-        return collect(final)
+    Trajectory i draws from ``trajectory_rng(seed, i)``.  Each worker owns one
+    Generator and rewinds it to trajectory i's stream, which costs far less
+    than building a fresh Philox."""
+    collect = collect or (lambda arr: arr)
+    if initial is None:
+        initial = InterlacingArray.zeros(spec.depth)
+
+    def batch(indices) -> list:
+        rng = trajectory_rng(seed)
+        bits = rng.bit_generator
+        start = bits.state
+        out = []
+        for i in indices:
+            bits.state = start
+            bits.advance(i << 128)
+            final, _ = simulate(spec, tau, initial=initial, rng=rng, log_events=False)
+            out.append(collect(final))
+        return out
 
     if workers <= 1:
-        return [one(i) for i in range(samples)]
+        return batch(range(samples))
     from concurrent.futures import ThreadPoolExecutor
 
+    size = max(1, -(-samples // workers))
+    chunks = [range(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(samples)))
+        return [value for part in pool.map(batch, chunks) for value in part]
 
 
 # --- standalone one-dimensional systems ----------------------------------------

@@ -129,6 +129,27 @@ class TestClassify:
         )
         assert code == 1
 
+    def test_const_c_infeasible_is_recorded(self, capsys):
+        # two pushers: only kinds with equal propagation probabilities decompose
+        code, out, _ = run(
+            capsys,
+            "classify", "--nu-bar", "1,4", "--lam", "0,3,5", "--q", "1/2", "--t", "1/3",
+            "--basis", "const-c",
+        )
+        assert code == 0
+        solutions = json.loads(out)["solutions"]
+        assert "error" in solutions["r(1)"]["decomposition"]
+        assert solutions["pb"]["decomposition"]["pb"] == "1"
+
+    def test_negative_coordinates_spaced_form(self, capsys):
+        tail = ("--q", "1/2", "--t", "0")
+        for nu_bar, lam in (("1", "-2,3"), ("-3,-1", "-4,-2,0")):
+            code, spaced, err = run(capsys, "classify", "--nu-bar", nu_bar, "--lam", lam, *tail)
+            assert code == 0, err
+            code, joined, _ = run(capsys, "classify", f"--nu-bar={nu_bar}", f"--lam={lam}", *tail)
+            assert code == 0 and spaced == joined
+            assert json.loads(spaced)["lam"] == [int(v) for v in lam.split(",")]
+
 
 class TestVerify:
     def test_identities_quick(self, capsys, tmp_path):

@@ -4,18 +4,23 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from macdyn.arrays import InterlacingArray
-from macdyn.classifier import SliceContext, check_system
+from macdyn.classifier import SliceContext, check_system, iter_slices
 from macdyn.errors import InvalidInput, InvariantViolation
 from macdyn.insertions import h_insert_trace
 from macdyn.macdonald import MacParams
 from macdyn.simulator import (
     DynamicsSpec,
+    Event,
     QPushTasep,
     QTasep,
+    _check_interlacing,
+    _slice_data,
+    clear_caches,
     jump_rates,
     leftmost_coordinates,
     propagate,
@@ -362,6 +367,125 @@ class TestEnsemble:
         serial = run_ensemble(spec, 1.0, 64, seed=9, collect=lambda a: a.levels)
         threaded = run_ensemble(spec, 1.0, 64, seed=9, collect=lambda a: a.levels, workers=4)
         assert serial == threaded
+
+
+def _reference_simulate(spec, tau, rng):
+    """Reference engine: rebuilds every level's rates after every event."""
+    n = spec.depth
+    rows = [list(r) for r in InterlacingArray.zeros(n).levels]
+    t, events = 0.0, []
+    while True:
+        entries = [(k, m, rate) for k in range(1, n + 1) for m, rate in jump_rates(spec, rows, k)]
+        total = 0.0
+        for _, _, rate in entries:
+            total += rate
+        if total <= 0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t > tau:
+            break
+        u = rng.random() * total
+        for k, m, rate in entries:
+            u -= rate
+            if u <= 0:
+                break
+        cascade = [(k, m, "jump")]
+        prev = rows[k - 1][m - 1]
+        rows[k - 1][m - 1] += 1
+        for lvl in range(k + 1, n + 1):
+            res = propagate(spec, rows, lvl, cascade[-1][1], prev, rng)
+            if res is None:
+                break
+            prev = rows[lvl - 1][res[0] - 1]
+            rows[lvl - 1][res[0] - 1] += 1
+            cascade.append((lvl, *res))
+        InterlacingArray(tuple(map(tuple, rows)))  # raises once rows stop interlacing
+        events.append(Event(time=t, cascade=tuple(cascade)))
+    return InterlacingArray(tuple(map(tuple, rows))), events
+
+
+def _every_recipe(params, n):
+    a = (1.0, 0.7, 1.3, 0.9, 1.1)[:n]
+    col, row = tuple(range(1, n + 1)), (1,) * n
+
+    def make(recipe, h=None, **kw):
+        return DynamicsSpec(params=params, a=a, depth=n, recipe=recipe, h=h, **kw)
+
+    specs = [
+        make("pb"), make("qrow"), make("rsk", row), make("rsk", col), make("r", row[:-1]),
+        make("r", col[:-1]), make("l", row[:-1]), make("oconnell-pei"),
+        make("oconnell-pei-nn"), make("det-insertion", row),
+    ]
+    return specs + [make("mixing", components=(specs[0], specs[2]), weights=(0.5, 0.5))]
+
+
+def _outcome(run):
+    """(final levels, [(time, cascade)]) of a run, or the error it raised."""
+    try:
+        final, events = run()
+    except (InvalidInput, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return final.levels, [(ev.time, ev.cascade) for ev in events]
+
+
+class TestIncrementalEngine:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("q,t", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.3)])
+    def test_matches_full_rebuild(self, q, t, n):
+        for spec in _every_recipe(MacParams(q, t), n):
+            for seed in (0, 1):
+                got = _outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(seed, 3)))
+                want = _outcome(lambda: _reference_simulate(spec, 3.0, trajectory_rng(seed, 3)))
+                assert got == want, (spec.recipe, spec.h, seed)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ensemble_matches_trajectory_streams(self, workers):
+        spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="pb")
+        want = [simulate(spec, 1.0, rng=trajectory_rng(17, i))[0] for i in range(10)]
+        assert run_ensemble(spec, 1.0, 10, 17, workers=workers) == want
+
+    def test_trajectory_rng_is_the_jumped_stream(self):
+        for i in (0, 1, 7, 1000, 2**40, 2**64 + 3):
+            ref = np.random.Generator(np.random.Philox(key=(5, 9)).jumped(i))
+            assert trajectory_rng((5, 9), i).random(8).tolist() == ref.random(8).tolist()
+
+    def test_broken_interlacing_names_rows_and_cascade(self):
+        rows = [[2], [1, 0], [3, 1, 0]]
+        with pytest.raises(
+            InvariantViolation,
+            match=r"level 1 row \(2,\) and level 2 row \(1, 0\) by cascade \(\(1, 1, 'jump'\),\)",
+        ):
+            _check_interlacing(rows, [(1, 1, "jump")])
+        _check_interlacing(rows, [(3, 1, "jump")])  # only touched pairs are checked
+
+
+class TestSliceCacheKey:
+    def test_mixings_with_equal_weights_keep_their_own_slices(self):
+        params = MacParams(0.5, 0.0)
+
+        def make(recipe, h=None, **kw):
+            return DynamicsSpec(params=params, a=(1.0,) * 3, depth=3, recipe=recipe, h=h, **kw)
+
+        clear_caches()
+        for other in (make("rsk", (1, 1, 1)), make("r", (1, 1))):
+            spec = make("mixing", components=(make("pb"), other), weights=(0.5, 0.5))
+            for nb, lam in iter_slices(3, 4):
+                w_items, c, r, _ = _slice_data(spec, 3, nb, lam)
+                sol = slice_solution(spec, 3, nb, lam)
+                assert w_items == tuple((m, float(v)) for m, v in sorted(sol.w.items()))
+                assert c == {j: float(v) for j, v in sol.c.items()}, (nb, lam)
+                assert r == {j: float(v) for j, v in sol.r.items()}, (nb, lam)
+
+    def test_exact_parameters_do_not_leak_into_float_runs(self):
+        def logs(q, t):
+            spec = DynamicsSpec(params=MacParams(q, t), a=(1.0,) * 4, depth=4, recipe="pb")
+            return [_outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(23, i))) for i in range(50)]
+
+        clear_caches()
+        fresh = logs(0.5, 0.25)
+        clear_caches()
+        logs(F(1, 2), F(1, 4))
+        assert logs(0.5, 0.25) == fresh
 
 
 class TestNonZeroInitial:
