@@ -25,6 +25,7 @@ from .classifier import (
     right_push,
     rsk,
     solve_r,
+    solve_w,
 )
 from .errors import (
     BlockedMove,

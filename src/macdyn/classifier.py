@@ -295,6 +295,25 @@ def solve_r(ctx: SliceContext, w: dict, c: dict) -> SliceSolution:
     return SliceSolution(w=dict(w), c=dict(c), r=r)
 
 
+def solve_w(ctx: SliceContext, c: dict, r: dict) -> dict:
+    """The jump rates w the slice's system gives for propagation and push
+    probabilities c and r: w_m = S_m - (c_{m-1} - r_{m-1}) T_{m-1} - r_j T_j
+    with j + 1 the next free index after m (terms absent at either end)."""
+    free = ctx.free
+    T = {j: T_quant(ctx, j) for j in ctx.pushers}
+    w = {}
+    for m, cur in enumerate(free):
+        val = S_quant(ctx, cur)
+        if m >= 1:
+            j = cur - 1
+            val -= (c[j] - r[j]) * T[j]
+        if m + 1 < len(free):
+            j = free[m + 1] - 1
+            val -= r[j] * T[j]
+        w[cur] = val
+    return w
+
+
 def fundamental(kind: FundamentalKind, ctx: SliceContext) -> SliceSolution:
     """The closed-form fundamental solution of the given kind on the slice."""
     kind.validate_level(ctx.k)
@@ -344,20 +363,11 @@ def check_system(ctx: SliceContext, sol: SliceSolution, tol=None):
     1 + sum T = sum S as the last entry.  Exact comparison on the rational
     path, relative tolerance otherwise.
     """
-    free = ctx.free
-    T = {j: T_quant(ctx, j) for j in ctx.pushers}
-    S = {m: S_quant(ctx, m) for m in free}
-    residuals = []
-    for m, cur in enumerate(free):
-        lhs = sol.w[cur]
-        if m >= 1:
-            j = cur - 1
-            lhs += (sol.c[j] - sol.r[j]) * T[j]
-        if m + 1 < len(free):
-            j = free[m + 1] - 1
-            lhs += sol.r[j] * T[j]
-        residuals.append(lhs - S[cur])
-    balance = 1 + sum(T.values()) - sum(S.values())
+    w = solve_w(ctx, sol.c, sol.r)
+    residuals = [sol.w[m] - w[m] for m in ctx.free]
+    T = [T_quant(ctx, j) for j in ctx.pushers]
+    S = [S_quant(ctx, m) for m in ctx.free]
+    balance = 1 + sum(T) - sum(S)
     residuals.append(balance)
     if tol is None:
         tol = 0 if ctx.params.is_exact else _REL_TOL

@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -96,7 +95,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--initial", default=None, help="canonical array text; default all zeros")
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--no-events", action="store_true")
-    p_sim.add_argument("--parallel", type=int, default=1)
 
     p_cls = sub.add_parser("classify", help="slice solutions and decompositions")
     p_cls.add_argument("--nu-bar", required=True, help="lower row, increasing coordinates")
@@ -159,16 +157,8 @@ def _cmd_simulate(args) -> int:
     initial = InterlacingArray.from_text(args.initial) if args.initial else None
     seed = _default_seed(args.seed)
     lines = []
-    results = sim.run_ensemble(
-        spec,
-        args.tau,
-        args.samples,
-        seed,
-        initial=initial,
-        collect=lambda arr: arr,
-        workers=args.parallel,
-    ) if args.no_events else None
     if args.no_events:
+        results = sim.run_ensemble(spec, args.tau, args.samples, seed, initial=initial)
         for i, final in enumerate(results):
             lines.append(_json_line({"trajectory": i, "final": final.to_text()}))
     else:
@@ -241,11 +231,10 @@ def _cmd_rsk(args) -> int:
         if args.N is None:
             raise _CliError("--table needs --N")
         words = ins.permutation_words(args.N)
-        hs = list(itertools.product(*(range(1, k + 1) for k in range(1, args.N + 1))))
-        header = "word," + ",".join("h=" + "".join(map(str, h)) for h in hs)
-        lines = [header]
-        for w in words:
-            images = [ins.f_h(w, h) for h in hs]
+        table = ins.f_h_table(args.N)
+        lines = ["word," + ",".join("h=" + "".join(map(str, h)) for h in table)]
+        for i, w in enumerate(words):
+            images = [table[h][i] for h in table]
             lines.append(
                 "".join(map(str, w)) + "," + ",".join("".join(map(str, im)) for im in images)
             )

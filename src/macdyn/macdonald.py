@@ -67,43 +67,6 @@ class MacParams:
 SCHUR = MacParams(0, 0)
 
 
-@dataclass(frozen=True)
-class Specialization:
-    """Nonnegative specialization used by this package.
-
-    variant: 'alpha' (finitely many usual variables), 'beta' (a single dual
-    variable), or 'plancherel' (gamma >= 0, playing the role of time).
-    """
-
-    variant: str
-    values: tuple
-
-    def __post_init__(self):
-        if self.variant == "alpha":
-            if not all(v > 0 for v in self.values):
-                raise InvalidInput("alpha parameters must be positive")
-        elif self.variant == "beta":
-            if len(self.values) != 1 or self.values[0] <= 0:
-                raise InvalidInput("single dual variable must be positive")
-        elif self.variant == "plancherel":
-            if len(self.values) != 1 or self.values[0] < 0:
-                raise InvalidInput("plancherel parameter must be nonnegative")
-        else:
-            raise InvalidInput(f"unknown specialization variant {self.variant!r}")
-
-
-def finite_alpha(*a) -> Specialization:
-    return Specialization("alpha", tuple(a))
-
-
-def single_dual_beta(beta) -> Specialization:
-    return Specialization("beta", (beta,))
-
-
-def plancherel(gamma) -> Specialization:
-    return Specialization("plancherel", (gamma,))
-
-
 # --- exact evaluation of f-products ------------------------------------------
 
 def qt_power(q, t, a: int, b: int):
@@ -184,7 +147,6 @@ def branch_psi(kappa: Sequence[int], nu: Sequence[int], params: MacParams):
     """
     kappa = check_signature(kappa)
     nu = check_signature(nu)
-    q, t = params.q, params.t
     if len(kappa) == len(nu) - 1:
         if not interlaces(kappa, nu):
             return 0 * params.one()
@@ -199,25 +161,16 @@ def branch_psi(kappa: Sequence[int], nu: Sequence[int], params: MacParams):
                 entries.extend(_f_entries(nu[i - 1] - nu[j], b, +1))
                 entries.extend(_f_entries(nu[i - 1] - kappa[j - 1], b, -1))
                 entries.extend(_f_entries(kappa[i - 1] - nu[j], b, -1))
-        return _pochhammer_ledger(entries, q, t)
+        return _pochhammer_ledger(entries, params.q, params.t)
     if len(kappa) == len(nu):
         if not horizontal_strip(kappa, nu):
             return 0 * params.one()
         if params.mode == "schur":
             return params.one()
+        # the first ell + 1 rows of the partition picture as interlacing rows
         kap, new = _shift_to_partitions(kappa, nu)
         ell = sum(1 for c in kap if c > 0)
-        kap = kap + (0, 0)
-        new = new + (0, 0)
-        entries = []
-        for i in range(1, ell + 1):
-            for j in range(i, ell + 1):
-                b = j - i
-                entries.extend(_f_entries(kap[i - 1] - kap[j - 1], b, +1))
-                entries.extend(_f_entries(new[i - 1] - new[j], b, +1))
-                entries.extend(_f_entries(new[i - 1] - kap[j - 1], b, -1))
-                entries.extend(_f_entries(kap[i - 1] - new[j], b, -1))
-        return _pochhammer_ledger(entries, q, t)
+        return branch_psi(kap[:ell], (new + (0,))[:ell + 1], params)
     raise InvalidInput("branch_psi expects len(kappa) in {len(nu), len(nu) - 1}")
 
 
@@ -346,8 +299,14 @@ def mac_P(lam: Sequence[int], a: Sequence, params: MacParams):
     return _mac_P_rec(lam, a, params)
 
 
+def _typed(value) -> tuple:
+    # Fraction(1, 2) == 0.5 and both hash alike, but exact and float
+    # evaluations round differently, so they must not share a cache entry
+    return type(value), value
+
+
 def _mac_P_rec(lam: Signature, a: tuple, params: MacParams):
-    key = (lam, a, params.q, params.t)
+    key = (lam, tuple(map(_typed, a)), _typed(params.q), _typed(params.t))
     hit = _P_CACHE.get(key)
     if hit is not None:
         return hit

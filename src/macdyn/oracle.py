@@ -22,7 +22,7 @@ from scipy.stats import chi2 as _chi2
 
 from . import classifier as _cl
 from . import macdonald as _md
-from .arrays import InterlacingArray, Signature, interlacing_predecessors
+from .arrays import InterlacingArray, Signature, interlaces, interlacing_predecessors
 from .errors import Infeasible, InvalidInput
 from .macdonald import MacParams
 
@@ -54,9 +54,6 @@ class TransientTable:
 
     def mass(self, tau) -> float:
         return sum(self.distribution(tau).values())
-
-    def tail_bound(self, tau) -> float:
-        return poisson_tail(float(self.rate_sum) * float(tau), self.cutoff)
 
 
 def poisson_tail(mu: float, m: int) -> float:
@@ -229,7 +226,7 @@ def identity_suite(
                 if j > 1 and nb[j - 1] >= nb[j - 2]:
                     continue
                 nu = nb[:j - 1] + (nb[j - 1] + 1,) + nb[j:]
-                if interlacing_ok(nu, lam):
+                if interlaces(nu, lam):
                     continue  # only the broken case is forced
                 lhs = _md.branch_psi(nb, lam, params) * _md.psi_prime_one_box(nb, j, params)
                 up = lam[:j - 1] + (lam[j - 1] + 1,) + lam[j:]
@@ -305,10 +302,6 @@ def identity_suite(
                     None if sum(row.values()) == 1 else {"lam": lam, "a": a, "beta": beta},
                 )
     return report
-
-
-def interlacing_ok(mu, lam) -> bool:
-    return all(lam[j + 1] <= mu[j] <= lam[j] for j in range(len(mu)))
 
 
 def p_up_link_commutation(lam, nu_bar, a, beta, params: MacParams) -> bool:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arrays import InterlacingArray, xi
+from .arrays import InterlacingArray, interlaces, xi
 from .classifier import (
     F_quant,
     SliceContext,
@@ -32,11 +32,10 @@ from .classifier import (
     pb,
     right_push,
     rsk,
-    S_quant,
-    T_quant,
+    solve_w,
 )
 from .errors import InvalidInput, InvariantViolation
-from .macdonald import MacParams
+from .macdonald import MacParams, _typed
 
 _PROB_TOL = 1e-9
 
@@ -137,21 +136,9 @@ def _oc_nn_solution(ctx: SliceContext) -> SliceSolution:
 
 def _det_insertion_solution(ctx: SliceContext, h: int) -> SliceSolution:
     one = ctx.params.one()
-    zero = 0 * one
-    free = ctx.free
     c = {j: one for j in ctx.pushers}
-    r = {j: (one if j < h else zero) for j in ctx.pushers}
-    w = {}
-    for m, cur in enumerate(free):
-        val = S_quant(ctx, cur)
-        if m >= 1:
-            j = cur - 1
-            val -= (c[j] - r[j]) * T_quant(ctx, j)
-        if m + 1 < len(free):
-            j = free[m + 1] - 1
-            val -= r[j] * T_quant(ctx, j)
-        w[cur] = val
-    return SliceSolution(w=w, c=c, r=r)
+    r = {j: (one if j < h else 0 * one) for j in ctx.pushers}
+    return SliceSolution(w=solve_w(ctx, c, r), c=c, r=r)
 
 
 def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
@@ -183,12 +170,6 @@ def clear_caches() -> None:
     for table in _SLICE_CACHE.values():
         table.clear()  # specs keep a reference to their table
     _SLICE_CACHE.clear()
-
-
-def _typed(value) -> tuple:
-    # Fraction(1, 2) == 0.5 and both hash alike, but exact and float slice
-    # solves round differently, so they must not share a cache entry
-    return type(value), value
 
 
 def _spec_cache_key(spec: DynamicsSpec):
@@ -338,12 +319,11 @@ def _check_interlacing(rows, cascade) -> None:
     low, high = cascade[0][0], cascade[-1][0]
     for k in range(max(low, 2), min(high + 1, len(rows)) + 1):
         lower, upper = rows[k - 2], rows[k - 1]
-        for j in range(k - 1):
-            if not (upper[j + 1] <= lower[j] <= upper[j]):
-                raise InvariantViolation(
-                    f"interlacing broken between level {k - 1} row {tuple(lower)} and "
-                    f"level {k} row {tuple(upper)} by cascade {tuple(cascade)}"
-                )
+        if not interlaces(lower, upper):
+            raise InvariantViolation(
+                f"interlacing broken between level {k - 1} row {tuple(lower)} and "
+                f"level {k} row {tuple(upper)} by cascade {tuple(cascade)}"
+            )
 
 
 def trajectory_rng(seed, index: int = 0) -> np.random.Generator:
@@ -430,38 +410,26 @@ def run_ensemble(
     seed,
     initial: InterlacingArray | None = None,
     collect: Callable[[InterlacingArray], object] | None = None,
-    workers: int = 1,
 ) -> list:
     """Simulate `samples` independent trajectories with per-trajectory Philox
     streams; returns [collect(final_state)] ordered by trajectory index.
 
-    Trajectory i draws from ``trajectory_rng(seed, i)``.  Each worker owns one
-    Generator and rewinds it to trajectory i's stream, which costs far less
-    than building a fresh Philox."""
+    Trajectory i draws from ``trajectory_rng(seed, i)``.  One Generator is
+    rewound to each trajectory's stream in turn, which costs far less than
+    building a fresh Philox per trajectory."""
     collect = collect or (lambda arr: arr)
     if initial is None:
         initial = InterlacingArray.zeros(spec.depth)
-
-    def batch(indices) -> list:
-        rng = trajectory_rng(seed)
-        bits = rng.bit_generator
-        start = bits.state
-        out = []
-        for i in indices:
-            bits.state = start
-            bits.advance(i << 128)
-            final, _ = simulate(spec, tau, initial=initial, rng=rng, log_events=False)
-            out.append(collect(final))
-        return out
-
-    if workers <= 1:
-        return batch(range(samples))
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = max(1, -(-samples // workers))
-    chunks = [range(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [value for part in pool.map(batch, chunks) for value in part]
+    rng = trajectory_rng(seed)
+    bits = rng.bit_generator
+    start = bits.state
+    out = []
+    for i in range(samples):
+        bits.state = start
+        bits.advance(i << 128)
+        final, _ = simulate(spec, tau, initial=initial, rng=rng, log_events=False)
+        out.append(collect(final))
+    return out
 
 
 # --- standalone one-dimensional systems ----------------------------------------
@@ -491,26 +459,6 @@ class QTasep:
             out.append(float(self.a[n]) * (1.0 - float(self.q) ** gap))
         return out
 
-    def _apply_move(self, rng, rates, total) -> int:
-        u = rng.random() * total
-        for n, rate in enumerate(rates):
-            u -= rate
-            if u <= 0:
-                break
-        self.x[n] += 1
-        if n > 0 and self.x[n] >= self.x[n - 1]:
-            raise InvariantViolation("q-TASEP ordering broken")
-        return n + 1
-
-    def step(self, rng) -> tuple[float, int | None]:
-        """One Gillespie event; returns (waiting time, moved index or None)."""
-        rates = self.rates()
-        total = sum(rates)
-        if total <= 0:
-            return float("inf"), None
-        dt = rng.exponential(1.0 / total)
-        return dt, self._apply_move(rng, rates, total)
-
     def simulate(self, tau: float, rng) -> "QTasep":
         t = 0.0
         while True:
@@ -521,7 +469,14 @@ class QTasep:
             t += rng.exponential(1.0 / total)
             if t > tau:
                 break
-            self._apply_move(rng, rates, total)
+            u = rng.random() * total
+            for n, rate in enumerate(rates):
+                u -= rate
+                if u <= 0:
+                    break
+            self.x[n] += 1
+            if n > 0 and self.x[n] >= self.x[n - 1]:
+                raise InvariantViolation("q-TASEP ordering broken")
         return self
 
 
@@ -569,12 +524,6 @@ class QPushTasep:
         if any(self.x[j] >= self.x[j + 1] for j in range(len(self.x) - 1)):
             raise InvariantViolation("q-PushTASEP ordering broken")
         return moved
-
-    def step(self, rng) -> tuple[float, list[int]]:
-        """One Gillespie event; returns (waiting time, 1-based moved indices,
-        cascades included)."""
-        dt = rng.exponential(1.0 / float(sum(self.a)))
-        return dt, self._apply_move(rng)
 
     def simulate(self, tau: float, rng) -> "QPushTasep":
         t = 0.0

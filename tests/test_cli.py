@@ -1,6 +1,7 @@
 import json
 
 from macdyn.cli import main
+from macdyn.insertions import f_h_table, permutation_words
 
 
 def run(capsys, *argv):
@@ -49,6 +50,21 @@ class TestRsk:
             "321", "213", "132", "312", "231", "123",
         ]
 
+    def test_table_matches_library(self, capsys):
+        code, out, _ = run(capsys, "rsk", "--table", "--N", "3")
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        table = f_h_table(3)
+        words = permutation_words(3)
+        hs = [tuple(int(ch) for ch in name[2:]) for name in header.split(",")[1:]]
+        assert hs == list(table)
+        assert len(rows) == len(words)
+        for i, row in enumerate(rows):
+            word, *cells = row.split(",")
+            assert word == "".join(map(str, words[i]))
+            for h, cell in zip(hs, cells, strict=True):
+                assert cell == "".join(map(str, table[h][i])), (i, h)
+
     def test_missing_flags(self, capsys):
         code, _, err = run(capsys, "rsk", "--word", "123")
         assert code == 1 and "error" in err
@@ -95,15 +111,6 @@ class TestSimulate:
             "simulate", "--dynamics", "bogus", "--N", "1", "--a", "1", "--tau", "1",
         )
         assert code == 1
-
-    def test_parallel_matches_serial(self, capsys):
-        argv = [
-            "simulate", "--dynamics", "pb", "--N", "2", "--q", "0", "--t", "0",
-            "--a", "1,1", "--tau", "1.0", "--samples", "6", "--seed", "3", "--no-events",
-        ]
-        _, serial, _ = run(capsys, *argv)
-        _, threaded, _ = run(capsys, *argv, "--parallel", "3")
-        assert serial == threaded
 
 
 class TestClassify:

@@ -212,6 +212,14 @@ class TestMacP:
             results = list(pool.map(work, range(32)))
         assert len(set(results)) == 1
 
+    def test_cache_keeps_exact_and_float_apart(self):
+        clear_caches()
+        want = mac_P((2, 1, 0), (1.0, 0.5, 0.25), MacParams(0.5, 0.25))
+        clear_caches()
+        mac_P((2, 1, 0), (F(1), F(1, 2), F(1, 4)), MacParams(F(1, 2), F(1, 4)))
+        got = mac_P((2, 1, 0), (1.0, 0.5, 0.25), MacParams(0.5, 0.25))
+        assert type(got) is float and got == want
+
 
 class TestSkew:
     def test_identity_strip(self):
@@ -337,28 +345,6 @@ class TestSchurPlancherel:
 
         for lam in [(1,), (2,), (1, 1), (2, 1), (3, 2), (3, 2, 1), (4, 2, 1)]:
             assert dim_standard(lam) == hooks(lam)
-
-
-class TestSpecialization:
-    def test_constructors(self):
-        from macdyn.macdonald import finite_alpha, plancherel, single_dual_beta
-
-        assert finite_alpha(F(1), F(2)).values == (F(1), F(2))
-        assert single_dual_beta(F(1, 3)).variant == "beta"
-        assert plancherel(0).values == (0,)
-
-    def test_range_validation(self):
-        from macdyn.errors import InvalidInput
-        from macdyn.macdonald import Specialization, finite_alpha, plancherel, single_dual_beta
-
-        with pytest.raises(InvalidInput):
-            finite_alpha(F(1), 0)
-        with pytest.raises(InvalidInput):
-            single_dual_beta(0)
-        with pytest.raises(InvalidInput):
-            plancherel(-1)
-        with pytest.raises(InvalidInput):
-            Specialization("gamma", (1,))
 
 
 def test_psi_prime_translation_invariance():

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from macdyn.arrays import InterlacingArray
@@ -361,14 +363,6 @@ class TestParticleLines:
         assert rightmost_coordinates(arr) == (1, 2, 2)
 
 
-class TestEnsemble:
-    def test_parallel_matches_serial(self):
-        spec = DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="pb")
-        serial = run_ensemble(spec, 1.0, 64, seed=9, collect=lambda a: a.levels)
-        threaded = run_ensemble(spec, 1.0, 64, seed=9, collect=lambda a: a.levels, workers=4)
-        assert serial == threaded
-
-
 def _reference_simulate(spec, tau, rng):
     """Reference engine: rebuilds every level's rates after every event."""
     n = spec.depth
@@ -438,11 +432,10 @@ class TestIncrementalEngine:
                 want = _outcome(lambda: _reference_simulate(spec, 3.0, trajectory_rng(seed, 3)))
                 assert got == want, (spec.recipe, spec.h, seed)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_ensemble_matches_trajectory_streams(self, workers):
+    def test_ensemble_matches_trajectory_streams(self):
         spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="pb")
         want = [simulate(spec, 1.0, rng=trajectory_rng(17, i))[0] for i in range(10)]
-        assert run_ensemble(spec, 1.0, 10, 17, workers=workers) == want
+        assert run_ensemble(spec, 1.0, 10, 17) == want
 
     def test_trajectory_rng_is_the_jumped_stream(self):
         for i in (0, 1, 7, 1000, 2**40, 2**64 + 3):
@@ -457,6 +450,76 @@ class TestIncrementalEngine:
         ):
             _check_interlacing(rows, [(1, 1, "jump")])
         _check_interlacing(rows, [(3, 1, "jump")])  # only touched pairs are checked
+
+
+_CAUSES = {"short_push", "long_push", "pull", "donated"}
+
+
+@st.composite
+def _point_and_depth(draw):
+    q, t = draw(st.sampled_from(((0.0, 0.0), (0.5, 0.0), (0.5, 0.3))))
+    return MacParams(q, t), draw(st.integers(1, 4))
+
+
+def _draw_spec(draw, params, n, recipes, any_h=False):
+    """A spec of one of `recipes` valid at params: any h-vector in the Schur
+    case or when any_h, else h = (1, ..., 1), for which R(h) is honest."""
+    if params.t != 0:
+        recipes = [rec for rec in recipes if not rec.startswith("oconnell-pei")]
+    if n == 1:
+        recipes = [rec for rec in recipes if rec not in ("r", "l")]
+    recipe = draw(st.sampled_from(recipes))
+    h = None
+    if recipe in ("rsk", "det-insertion", "r", "l"):
+        size = n if recipe in ("rsk", "det-insertion") else n - 1
+        any_h = any_h or params.mode == "schur"
+        h = tuple(draw(st.integers(1, k if any_h else 1)) for k in range(1, size + 1))
+    a = (1.0, 0.7, 1.3, 0.9)[:n]
+    return DynamicsSpec(params=params, a=a, depth=n, recipe=recipe, h=h)
+
+
+def _honest_recipes(params):
+    if params.mode == "schur":
+        return ["pb", "qrow", "rsk", "r", "l", "oconnell-pei", "oconnell-pei-nn", "det-insertion"]
+    return ["pb", "qrow", "r", "oconnell-pei", "oconnell-pei-nn"]
+
+
+class TestSimulatorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_point_and_depth(), st.data(), st.integers(0, 2**32 - 1))
+    def test_interlacing_kept_and_cascades_bottom_up(self, point, data, seed):
+        params, n = point
+        spec = _draw_spec(data.draw, params, n, _honest_recipes(params))
+        final, events = simulate(spec, 2.0, seed=seed)
+        assert isinstance(final, InterlacingArray)
+        rows = [list(r) for r in InterlacingArray.zeros(n).levels]
+        last = 0.0
+        for ev in events:
+            assert last <= ev.time <= 2.0
+            last = ev.time
+            levels = [lvl for lvl, _, _ in ev.cascade]
+            assert levels == list(range(levels[0], levels[0] + len(levels)))
+            assert ev.cascade[0][2] == "jump"
+            assert all(cause in _CAUSES for _, _, cause in ev.cascade[1:])
+            for lvl, idx, _ in ev.cascade:
+                rows[lvl - 1][idx - 1] += 1
+            InterlacingArray(tuple(map(tuple, rows)))  # raises unless rows interlace
+        assert final.levels == tuple(map(tuple, rows))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_point_and_depth(), st.data(), st.integers(0, 2**32 - 1))
+    def test_mixing_with_weight_one_is_its_first_component(self, point, data, seed):
+        params, n = point
+        honest = [rec for rec in _honest_recipes(params) if rec != "oconnell-pei"]
+        first = _draw_spec(data.draw, params, n, honest)
+        primitives = ["pb", "qrow", "rsk", "r", "l", "oconnell-pei-nn", "det-insertion"]
+        other = _draw_spec(data.draw, params, n, primitives, any_h=True)
+        mixed = DynamicsSpec(
+            params=params, a=first.a, depth=n, recipe="mixing",
+            components=(first, other), weights=(1.0, 0.0),
+        )
+        want = _outcome(lambda: simulate(first, 2.0, rng=trajectory_rng(seed)))
+        assert _outcome(lambda: simulate(mixed, 2.0, rng=trajectory_rng(seed))) == want
 
 
 class TestSliceCacheKey:
