@@ -86,24 +86,32 @@ def free_indices(nu_bar: Sequence[int], lam: Sequence[int]) -> tuple[int, ...]:
 
 
 def xi(nu_bar: Sequence[int], lam: Sequence[int], i: int) -> int:
-    """First free index <= i: the particle that receives a donated move aimed at i."""
-    free = free_indices(nu_bar, lam)
-    best = 1
-    for j in free:
-        if j <= i:
-            best = j
-    return best
+    """First free index <= i: the particle that receives a donated move aimed at i.
+
+    Scans down from i past the blocked particles; index 1 is always free."""
+    k = len(lam)
+    if len(nu_bar) != k - 1:
+        raise InvalidInput("xi expects lower row one shorter than upper row")
+    j = i if i < k else k
+    while j > 1 and lam[j - 1] >= nu_bar[j - 2]:
+        j -= 1
+    return j if j > 1 else 1
 
 
 def xi_inverse(nu_bar: Sequence[int], lam: Sequence[int], m: int) -> int | None:
-    """The unique j with j+1 free and xi(j) == m, or None if no push lands at m."""
-    free = free_indices(nu_bar, lam)
-    if m not in free:
+    """The unique j with j+1 free and xi(j) == m, or None if no push lands at m.
+
+    For free m it is one less than the next free index above m; a blocked m
+    receives no push."""
+    k = len(lam)
+    if len(nu_bar) != k - 1:
+        raise InvalidInput("xi_inverse expects lower row one shorter than upper row")
+    if not 1 <= m <= k or (m > 1 and lam[m - 1] >= nu_bar[m - 2]):
         return None
-    pos = free.index(m)
-    if pos + 1 >= len(free):
-        return None
-    return free[pos + 1] - 1
+    for j in range(m + 1, k + 1):
+        if lam[j - 1] < nu_bar[j - 2]:
+            return j - 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -136,15 +144,17 @@ class InterlacingArray:
     def zeros(cls, depth: int) -> "InterlacingArray":
         return cls(tuple((0,) * k for k in range(1, depth + 1)))
 
+    @classmethod
+    def trusted(cls, levels: tuple[Signature, ...]) -> "InterlacingArray":
+        """Wrap rows (tuples of ints) that the caller has already checked to
+        have lengths 1..depth and to interlace, skipping the re-validation."""
+        arr = object.__new__(cls)
+        object.__setattr__(arr, "levels", levels)
+        return arr
+
     def row(self, k: int) -> Signature:
         """Row at level k (1-based)."""
         return self.levels[k - 1]
-
-    def with_move(self, k: int, j: int) -> "InterlacingArray":
-        """New array with coordinate j of level k incremented (interlacing re-checked)."""
-        rows = list(self.levels)
-        rows[k - 1] = add_box(rows[k - 1], j)
-        return InterlacingArray(tuple(rows))
 
     def to_text(self) -> str:
         """Canonical text form: rows bottom to top, coordinates left to right
@@ -227,13 +237,6 @@ class SkewChain:
     @property
     def top(self) -> Signature:
         return self.rows[-1]
-
-    def letter_counts(self) -> tuple[int, ...]:
-        """Number of boxes each letter occupies (the exponent of x_i in the
-        tableau monomial)."""
-        return tuple(
-            sum(upper) - sum(lower) for lower, upper in zip(self.rows, self.rows[1:])
-        )
 
 
 def skew_chains(lam: Sequence[int], mu: Sequence[int], letters: int) -> Iterator[SkewChain]:

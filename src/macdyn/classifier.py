@@ -13,14 +13,21 @@ These satisfy a two-diagonal linear system with coefficients T_i and S_j; the
 system is solved by forward substitution, never by a generic solver.  Schur
 parameters (q == t) turn every T and S into a 0/1 indicator, and t == 0 has
 dedicated short formulas; the general case is a finite product over exponent
-pairs with symbolic cancellation.
+pairs with symbolic cancellation, evaluated by `macdonald.factor_product`.
+
+Each slice evaluates its coefficients once: `SliceContext.S` and
+`SliceContext.T` are the cached tuples (S_1..S_k) and (T_1..T_k).  S_j is
+computed only at free j and T_i only at pushers i (i + 1 free); every other
+entry is the typed zero, since S_j = 0 when j is blocked and T_i = 0 unless
+i + 1 is free.  `fundamental`, `solve_r`, `solve_w`, `check_system` and
+`decompose` read these tuples; `S_quant` and `T_quant` evaluate one index.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .arrays import (
@@ -33,7 +40,7 @@ from .arrays import (
     xi_inverse,
 )
 from .errors import Infeasible, InvalidInput, UnsupportedBasis
-from .macdonald import MacParams, factor_product
+from .macdonald import MacParams, factor_product, net_exponents
 
 _REL_TOL = 1e-9
 
@@ -69,6 +76,22 @@ class SliceContext:
         """Indices j with j+1 free: the lower particles whose move can propagate."""
         return tuple(m - 1 for m in self.free if m >= 2)
 
+    @cached_property
+    def S(self) -> tuple:
+        """(S_1, ..., S_k); S_j is evaluated at free j only, blocked j give 0."""
+        out = [0 * self.params.one()] * self.k
+        for m in self.free:
+            out[m - 1] = S_quant(self, m)
+        return tuple(out)
+
+    @cached_property
+    def T(self) -> tuple:
+        """(T_1, ..., T_k); T_i is evaluated at pushers only, the others give 0."""
+        out = [0 * self.params.one()] * self.k
+        for j in self.pushers:
+            out[j - 1] = T_quant(self, j)
+        return tuple(out)
+
     def xi(self, i: int) -> int:
         return xi(self.nu_bar, self.lam, i)
 
@@ -93,23 +116,15 @@ def T_quant(ctx: SliceContext, i: int):
         if i >= 2:
             val *= 1 - q ** (nb[i - 2] - nb[i - 1] + 1)
         return val / (1 - q ** (lam[i - 1] - nb[i - 1] + 1))
-    num: Counter = Counter()
-    den: Counter = Counter()
-    num[(lam[i - 1] - nb[i - 1], 1)] += 1
-    num[(nb[i - 1] - lam[i], 0)] += 1
-    den[(lam[i - 1] - nb[i - 1] + 1, 0)] += 1
-    den[(nb[i - 1] - 1 - lam[i], 1)] += 1
+    num = [(lam[i - 1] - nb[i - 1], 1), (nb[i - 1] - lam[i], 0)]
+    den = [(lam[i - 1] - nb[i - 1] + 1, 0), (nb[i - 1] - 1 - lam[i], 1)]
     for r in range(1, i):
-        num[(lam[r - 1] - nb[i - 1], i - r + 1)] += 1
-        num[(nb[r - 1] - nb[i - 1] + 1, i - r - 1)] += 1
-        den[(lam[r - 1] - nb[i - 1] + 1, i - r)] += 1
-        den[(nb[r - 1] - nb[i - 1], i - r)] += 1
+        num += ((lam[r - 1] - nb[i - 1], i - r + 1), (nb[r - 1] - nb[i - 1] + 1, i - r - 1))
+        den += ((lam[r - 1] - nb[i - 1] + 1, i - r), (nb[r - 1] - nb[i - 1], i - r))
     for s in range(i + 1, k):
-        num[(nb[i - 1] - nb[s - 1] - 1, s - i + 1)] += 1
-        num[(nb[i - 1] - lam[s], s - i)] += 1
-        den[(nb[i - 1] - nb[s - 1], s - i)] += 1
-        den[(nb[i - 1] - lam[s] - 1, s - i + 1)] += 1
-    return factor_product(num, den, q, t)
+        num += ((nb[i - 1] - nb[s - 1] - 1, s - i + 1), (nb[i - 1] - lam[s], s - i))
+        den += ((nb[i - 1] - nb[s - 1], s - i), (nb[i - 1] - lam[s] - 1, s - i + 1))
+    return factor_product(net_exponents(num, den), q, t)
 
 
 def S_quant(ctx: SliceContext, j: int):
@@ -130,19 +145,15 @@ def S_quant(ctx: SliceContext, j: int):
             val *= 1 - q ** (lam[j - 1] - lam[j] + 1)
             val /= 1 - q ** (lam[j - 1] - nb[j - 1] + 1)
         return val
-    num: Counter = Counter()
-    den: Counter = Counter()
+    num = []
+    den = []
     for r in range(1, j):
-        num[(nb[r - 1] - lam[j - 1], j - r - 1)] += 1
-        num[(lam[r - 1] - lam[j - 1] - 1, j - r + 1)] += 1
-        den[(nb[r - 1] - lam[j - 1] - 1, j - r)] += 1
-        den[(lam[r - 1] - lam[j - 1], j - r)] += 1
+        num += ((nb[r - 1] - lam[j - 1], j - r - 1), (lam[r - 1] - lam[j - 1] - 1, j - r + 1))
+        den += ((nb[r - 1] - lam[j - 1] - 1, j - r), (lam[r - 1] - lam[j - 1], j - r))
     for s in range(j, k):
-        num[(lam[j - 1] - lam[s] + 1, s - j)] += 1
-        num[(lam[j - 1] - nb[s - 1], s - j + 1)] += 1
-        den[(lam[j - 1] - lam[s], s - j + 1)] += 1
-        den[(lam[j - 1] - nb[s - 1] + 1, s - j)] += 1
-    return factor_product(num, den, q, t)
+        num += ((lam[j - 1] - lam[s] + 1, s - j), (lam[j - 1] - nb[s - 1], s - j + 1))
+        den += ((lam[j - 1] - lam[s], s - j + 1), (lam[j - 1] - nb[s - 1] + 1, s - j))
+    return factor_product(net_exponents(num, den), q, t)
 
 
 def F_quant(ctx: SliceContext, j: int):
@@ -273,9 +284,8 @@ def solve_r(ctx: SliceContext, w: dict, c: dict) -> SliceSolution:
         raise InvalidInput(f"w must be defined exactly on the free indices {free}")
     if set(c) != set(pushers):
         raise InvalidInput(f"c must be defined exactly on indices {pushers}")
-    T = {j: T_quant(ctx, j) for j in pushers}
-    S = {m: S_quant(ctx, m) for m in free}
-    constraint = sum(w.values()) - 1 - sum(T[j] * (1 - c[j]) for j in pushers)
+    S, T = ctx.S, ctx.T
+    constraint = sum(w.values()) - 1 - sum(T[j - 1] * (1 - c[j]) for j in pushers)
     if ctx.params.is_exact and all(
         isinstance(v, (int,)) or hasattr(v, "denominator") for v in list(w.values()) + list(c.values())
     ):
@@ -288,10 +298,10 @@ def solve_r(ctx: SliceContext, w: dict, c: dict) -> SliceSolution:
     acc = 0 * ctx.params.one()
     for m in range(len(free) - 1):
         cur, nxt = free[m], free[m + 1]
-        acc += S[cur] - w[cur]
+        acc += S[cur - 1] - w[cur]
         if m >= 1:
-            acc -= c[free[m] - 1] * T[free[m] - 1]
-        r[nxt - 1] = acc / T[nxt - 1]
+            acc -= c[cur - 1] * T[cur - 2]
+        r[nxt - 1] = acc / T[nxt - 2]
     return SliceSolution(w=dict(w), c=dict(c), r=r)
 
 
@@ -299,17 +309,16 @@ def solve_w(ctx: SliceContext, c: dict, r: dict) -> dict:
     """The jump rates w the slice's system gives for propagation and push
     probabilities c and r: w_m = S_m - (c_{m-1} - r_{m-1}) T_{m-1} - r_j T_j
     with j + 1 the next free index after m (terms absent at either end)."""
-    free = ctx.free
-    T = {j: T_quant(ctx, j) for j in ctx.pushers}
+    free, S, T = ctx.free, ctx.S, ctx.T
     w = {}
     for m, cur in enumerate(free):
-        val = S_quant(ctx, cur)
+        val = S[cur - 1]
         if m >= 1:
             j = cur - 1
-            val -= (c[j] - r[j]) * T[j]
+            val -= (c[j] - r[j]) * T[j - 1]
         if m + 1 < len(free):
             j = free[m + 1] - 1
-            val -= r[j] * T[j]
+            val -= r[j] * T[j - 1]
         w[cur] = val
     return w
 
@@ -321,37 +330,28 @@ def fundamental(kind: FundamentalKind, ctx: SliceContext) -> SliceSolution:
     pushers = ctx.pushers
     one = ctx.params.one()
     zero = 0 * one
-    S = {m: S_quant(ctx, m) for m in free}
-    if kind.tag == "pb":
-        return SliceSolution(
-            w=dict(S), c={j: zero for j in pushers}, r={j: zero for j in pushers}
-        )
     h = kind.h
     if kind.tag == "rsk":
         target = ctx.xi(h)
         w = {m: (one if m == target else zero) for m in free}
-        r = {}
-        for j in pushers:
-            sums = sum(S_quant(ctx, i) for i in range(1, j + 1))
-            sums -= sum(T_quant(ctx, i) for i in range(1, j))
-            sums -= one if h <= j else zero
-            r[j] = sums / T_quant(ctx, j)
+        # r_j = (S_1 + ... + S_j - T_1 - ... - T_{j-1} - [h <= j]) / T_j; the
+        # prefix sums start at 0 and add in index order, as sum() does
+        S_sums = list(accumulate(ctx.S, initial=0))
+        T_sums = list(accumulate(ctx.T, initial=0))
+        r = {
+            j: (S_sums[j] - T_sums[j - 1] - (one if h <= j else zero)) / ctx.T[j - 1]
+            for j in pushers
+        }
         return SliceSolution(w=w, c={j: one for j in pushers}, r=r)
-    if kind.tag == "r":
-        w = dict(S)
-        c = {j: zero for j in pushers}
-        r = {j: zero for j in pushers}
-        if h in pushers:
-            w[ctx.xi(h)] = w[ctx.xi(h)] - T_quant(ctx, h)
-            c[h] = one
-            r[h] = one
-        return SliceSolution(w=w, c=c, r=r)
-    # left-pulling
-    w = dict(S)
+    w = {m: ctx.S[m - 1] for m in free}
     c = {j: zero for j in pushers}
     r = {j: zero for j in pushers}
-    if h in pushers:
-        w[h + 1] = w[h + 1] - T_quant(ctx, h)
+    if kind.tag == "r" and h in pushers:
+        w[ctx.xi(h)] = w[ctx.xi(h)] - ctx.T[h - 1]
+        c[h] = one
+        r[h] = one
+    elif kind.tag == "l" and h in pushers:  # left-pulling
+        w[h + 1] = w[h + 1] - ctx.T[h - 1]
         c[h] = one
     return SliceSolution(w=w, c=c, r=r)
 
@@ -365,9 +365,7 @@ def check_system(ctx: SliceContext, sol: SliceSolution, tol=None):
     """
     w = solve_w(ctx, sol.c, sol.r)
     residuals = [sol.w[m] - w[m] for m in ctx.free]
-    T = [T_quant(ctx, j) for j in ctx.pushers]
-    S = [S_quant(ctx, m) for m in ctx.free]
-    balance = 1 + sum(T) - sum(S)
+    balance = 1 + sum(ctx.T[j - 1] for j in ctx.pushers) - sum(ctx.S[m - 1] for m in ctx.free)
     residuals.append(balance)
     if tol is None:
         tol = 0 if ctx.params.is_exact else _REL_TOL
@@ -425,7 +423,7 @@ def decompose(ctx: SliceContext, sol: SliceSolution, basis: str) -> dict[Fundame
         C = cs.pop() if cs else 0 * one
         thetas = {pb(): 1 - C}
         for h in free:
-            thetas[rsk(h)] = sol.w[h] - (1 - C) * S_quant(ctx, h)
+            thetas[rsk(h)] = sol.w[h] - (1 - C) * ctx.S[h - 1]
         return thetas
     # rsk-r and rsk-l need at least three free indices
     if ctx.k == 2:
@@ -439,14 +437,14 @@ def decompose(ctx: SliceContext, sol: SliceSolution, basis: str) -> dict[Fundame
     side_sum = sum(side.values())
     thetas = {}
     for m in free:
-        th = sol.w[m] - S_quant(ctx, m) * side_sum
+        th = sol.w[m] - ctx.S[m - 1] * side_sum
         if basis == "rsk-r":
             i = ctx.xi_inverse(m)
             if i is not None:
-                th += side[i] * T_quant(ctx, i)
+                th += side[i] * ctx.T[i - 1]
         else:
             if m - 1 in side:
-                th += side[m - 1] * T_quant(ctx, m - 1)
+                th += side[m - 1] * ctx.T[m - 2]
         thetas[rsk(m)] = th
     for j in pushers:
         thetas[right_push(j) if basis == "rsk-r" else left_pull(j)] = side[j]

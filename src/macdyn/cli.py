@@ -198,8 +198,8 @@ def _cmd_classify(args) -> int:
         "nu_bar": list(reversed(ctx.nu_bar)),
         "lam": list(reversed(ctx.lam)),
         "free_indices": list(ctx.free),
-        "T": {str(i): _fmt(cl.T_quant(ctx, i)) for i in range(1, k)},
-        "S": {str(j): _fmt(cl.S_quant(ctx, j)) for j in range(1, k + 1)},
+        "T": {str(i): _fmt(ctx.T[i - 1]) for i in range(1, k)},
+        "S": {str(j): _fmt(ctx.S[j - 1]) for j in range(1, k + 1)},
         "solutions": {},
     }
     for name, kind in kinds:

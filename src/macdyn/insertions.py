@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arrays import InterlacingArray, array_to_tableau, free_indices, tableau_to_array, xi, xi_inverse
+from .arrays import InterlacingArray, array_to_tableau, tableau_to_array, xi, xi_inverse
 from .errors import InvalidInput, ResourceLimit
 
 Word = tuple[int, ...]
@@ -163,7 +163,7 @@ def h_rs_inverse(pair: TableauPair, h: Sequence[int]) -> Word:
             if j <= k - 1 and lam[j - 1] < nu_bar[j - 1]:
                 k -= 1  # short-range push: the mover below had the same index
                 continue
-            if j not in free_indices(nu_bar, lam):
+            if xi(nu_bar, lam, j) != j:  # j is blocked
                 raise InvalidInput("pair not in the image: moved particle was blocked")
             hk = h[k - 1]
             if xi(nu_bar, lam, hk) == j:

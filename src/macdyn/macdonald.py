@@ -8,6 +8,12 @@ infinite q-Pochhammer symbols cancel down to finite products of factors
 (1 - q^x t^y); `_pochhammer_ledger` performs that cancellation symbolically
 on the exponents, so evaluation is exact over Fractions and never touches an
 infinite product.
+
+Every such product goes through one kernel, `factor_product`, which takes
+the net exponent map {(a, b): multiplicity} (`net_exponents` builds it from
+numerator and denominator factor lists).  On exact parameters it multiplies
+integer numerators and denominators and builds a single Fraction at the
+end; on floats it multiplies the factors in the map's order.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .arrays import (
@@ -48,7 +54,9 @@ class MacParams:
         if not (0 <= self.q < 1 and 0 <= self.t < 1):
             raise InvalidInput(f"parameters must lie in [0,1): q={self.q}, t={self.t}")
 
-    @property
+    # mode, is_exact and one() are read on every slice quantity, so each is
+    # computed once per params object
+    @cached_property
     def mode(self) -> str:
         if self.q == self.t:
             return "schur"
@@ -56,12 +64,16 @@ class MacParams:
             return "q-whittaker"
         return "general"
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return isinstance(self.q, _EXACT_TYPES) and isinstance(self.t, _EXACT_TYPES)
 
-    def one(self):
+    @cached_property
+    def _one(self):
         return Fraction(1) if self.is_exact else 1.0
+
+    def one(self):
+        return self._one
 
 
 SCHUR = MacParams(0, 0)
@@ -69,27 +81,62 @@ SCHUR = MacParams(0, 0)
 
 # --- exact evaluation of f-products ------------------------------------------
 
-def qt_power(q, t, a: int, b: int):
-    """q**a * t**b with the 0**0 = 1 convention baked into Python's **."""
-    return q ** a * t ** b
+def net_exponents(num, den) -> dict:
+    """The net exponent map {(a, b): multiplicity} of the factors listed in
+    num over those listed in den; keys keep their first appearance, numerator
+    keys first, and cancelled keys stay with multiplicity 0."""
+    net: dict = {}
+    for key in num:
+        net[key] = net.get(key, 0) + 1
+    for key in den:
+        net[key] = net.get(key, 0) - 1
+    return net
 
 
-def factor_product(num: Counter, den: Counter, q, t):
-    """prod (1 - q^a t^b) over num / same over den, cancelling common exponent
-    pairs first so that coincidences like t**2 == q never produce 0/0."""
-    net = Counter(num)
-    net.subtract(den)
-    one = Fraction(1) if isinstance(q, _EXACT_TYPES) and isinstance(t, _EXACT_TYPES) else 1.0
-    result = one
+def factor_product(net: dict, q, t):
+    """prod (1 - q^a t^b)^mult over the net exponent map {(a, b): mult}.
+
+    Common exponent pairs cancel in the map before evaluation, so
+    coincidences like t**2 == q never produce 0/0.  A vanishing factor with
+    positive multiplicity gives exact 0; one with negative multiplicity
+    raises ZeroDivisionError.  Factors are taken in the map's order.
+
+    Exact parameters are evaluated fraction-free: with q = qn/qd and
+    t = tn/td every factor is an integer ratio (a negative exponent swaps
+    numerator and denominator), so one Fraction is built at the end.
+    """
+    if isinstance(q, _EXACT_TYPES) and isinstance(t, _EXACT_TYPES):
+        qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+        num = den = 1
+        for (a, b), mult in net.items():
+            if not mult:
+                continue
+            xn, xd = (qn ** a, qd ** a) if a >= 0 else (qd ** -a, qn ** -a)
+            if b:
+                xn, xd = (xn * tn ** b, xd * td ** b) if b > 0 else (xn * td ** -b, xd * tn ** -b)
+            if not xd:
+                raise ZeroDivisionError(f"q^{a} t^{b} with q = {q}, t = {t}")
+            if xn == xd:
+                if mult > 0:
+                    return Fraction(0)
+                raise ZeroDivisionError(f"vanishing denominator factor (1 - q^{a} t^{b})")
+            if mult > 0:
+                num *= (xd - xn) ** mult
+                den *= xd ** mult
+            else:
+                num *= xd ** -mult
+                den *= (xd - xn) ** -mult
+        return Fraction(num, den)
+    result = 1.0
     for (a, b), mult in net.items():
-        if mult == 0:
+        if not mult:
             continue
-        factor = one - qt_power(q, t, a, b)
+        factor = 1.0 - q ** a * t ** b
         if factor == 0:
             if mult > 0:
-                return 0 * one
+                return 0.0
             raise ZeroDivisionError(f"vanishing denominator factor (1 - q^{a} t^{b})")
-        result *= factor ** mult
+        result *= factor if mult == 1 else factor ** mult
     return result
 
 
@@ -100,12 +147,14 @@ def _pochhammer_ledger(entries, q, t):
     entries: iterable of (a, b, s).  Entries are grouped by the t-exponent;
     within each group the net multiplicity of (1 - q^x t^b) is the running sum
     of signs over a_i <= x, which must return to zero past the largest a_i.
+    Every key lands in exactly one interval, so the numerator and denominator
+    parts of the net map are disjoint.
     """
     groups: dict[int, Counter] = defaultdict(Counter)
     for a, b, s in entries:
         groups[b][a] += s
-    num: Counter = Counter()
-    den: Counter = Counter()
+    num: dict = {}
+    den: dict = {}
     for b, ctr in groups.items():
         xs = sorted(x for x, c in ctr.items() if c)
         if not xs:
@@ -117,13 +166,12 @@ def _pochhammer_ledger(entries, q, t):
                 if running != 0:
                     raise ArithmeticError("q-Pochhammer product does not terminate")
                 break
-            if running > 0:
+            if running:
+                part = num if running > 0 else den
                 for e in range(x, xs[pos + 1]):
-                    num[(e, b)] += running
-            elif running < 0:
-                for e in range(x, xs[pos + 1]):
-                    den[(e, b)] -= running
-    return factor_product(num, den, q, t)
+                    part[(e, b)] = running
+    num.update(den)
+    return factor_product(num, q, t)
 
 
 def _f_entries(a: int, b: int, sign: int):
@@ -221,9 +269,8 @@ def psi_prime_vertical(mu: Sequence[int], lam: Sequence[int], params: MacParams)
         return 0 * params.one()
     if params.mode == "schur":
         return params.one()
-    q, t = params.q, params.t
-    num: Counter = Counter()
-    den: Counter = Counter()
+    num = []
+    den = []
     n = len(mu)
     for i in range(1, n + 1):
         if lam[i - 1] != mu[i - 1]:
@@ -231,11 +278,9 @@ def psi_prime_vertical(mu: Sequence[int], lam: Sequence[int], params: MacParams)
         for j in range(i + 1, n + 1):
             if lam[j - 1] != mu[j - 1] + 1:
                 continue
-            num[(mu[i - 1] - mu[j - 1], j - i - 1)] += 1
-            num[(lam[i - 1] - lam[j - 1], j - i + 1)] += 1
-            den[(mu[i - 1] - mu[j - 1], j - i)] += 1
-            den[(lam[i - 1] - lam[j - 1], j - i)] += 1
-    return factor_product(num, den, q, t)
+            num += ((mu[i - 1] - mu[j - 1], j - i - 1), (lam[i - 1] - lam[j - 1], j - i + 1))
+            den += ((mu[i - 1] - mu[j - 1], j - i), (lam[i - 1] - lam[j - 1], j - i))
+    return factor_product(net_exponents(num, den), params.q, params.t)
 
 
 def psi_prime_one_box(mu: Sequence[int], j: int, params: MacParams):
@@ -247,16 +292,13 @@ def psi_prime_one_box(mu: Sequence[int], j: int, params: MacParams):
         raise BlockedMove(f"coordinate {j} of {mu} is blocked")
     if params.mode == "schur":
         return params.one()
-    q, t = params.q, params.t
-    num: Counter = Counter()
-    den: Counter = Counter()
+    num = []
+    den = []
     for i in range(1, j):
         d = mu[i - 1] - mu[j - 1]
-        num[(d, j - i - 1)] += 1
-        num[(d - 1, j - i + 1)] += 1
-        den[(d, j - i)] += 1
-        den[(d - 1, j - i)] += 1
-    return factor_product(num, den, q, t)
+        num += ((d, j - i - 1), (d - 1, j - i + 1))
+        den += ((d, j - i), (d - 1, j - i))
+    return factor_product(net_exponents(num, den), params.q, params.t)
 
 
 # --- Macdonald polynomial evaluation ------------------------------------------

@@ -56,16 +56,6 @@ class TransientTable:
         return sum(self.distribution(tau).values())
 
 
-def poisson_tail(mu: float, m: int) -> float:
-    """P(Poisson(mu) > m)."""
-    term = math.exp(-mu)
-    acc = term
-    for n in range(1, m + 1):
-        term *= mu / n
-        acc += term
-    return max(0.0, 1.0 - acc)
-
-
 def exact_transient(a: Sequence, params: MacParams, cutoff: int) -> TransientTable:
     """Transient coefficients for all |lam| <= cutoff at level k = len(a).
 
@@ -92,35 +82,6 @@ def exact_transient(a: Sequence, params: MacParams, cutoff: int) -> TransientTab
         shell = {lam: v / n for lam, v in nxt.items()}
         coeffs.update(shell)
     return TransientTable(a=a, params=params, cutoff=cutoff, coeffs=coeffs)
-
-
-def p_up_iterate(a: Sequence, params: MacParams, beta_total, steps: int, cutoff: int):
-    """Distribution of the m-fold one-step operator with beta = beta_total/steps
-    applied to the zero signature, truncated at |lam| <= cutoff.
-
-    Converges to the transient law as steps grows; used as an independent
-    cross-check of `exact_transient` at general (q, t).
-    """
-    a = tuple(float(v) for v in a)
-    beta = float(beta_total) / steps
-    k = len(a)
-    dist = {(0,) * k: 1.0}
-    rows: dict[Signature, dict[Signature, float]] = {}
-    for _ in range(steps):
-        nxt: dict[Signature, float] = defaultdict(float)
-        for lam, p in dist.items():
-            row = rows.get(lam)
-            if row is None:
-                row = {
-                    mu: float(w)
-                    for mu, w in _md.p_up_row(lam, a, beta, params).items()
-                }
-                rows[lam] = row
-            for mu, w in row.items():
-                if sum(mu) <= cutoff:
-                    nxt[mu] += p * w
-        dist = dict(nxt)
-    return dist
 
 
 # --- identity suite -------------------------------------------------------------
@@ -304,22 +265,6 @@ def identity_suite(
     return report
 
 
-def p_up_link_commutation(lam, nu_bar, a, beta, params: MacParams) -> bool:
-    """Exact check of p_up(a_1..a_k) Lambda == Lambda p_up(a_1..a_{k-1}) at the
-    entry (lam, nu_bar)."""
-    k = len(lam)
-    lhs = 0
-    for mu, w in _md.p_up_row(lam, a, beta, params).items():
-        lhs += w * _md.link_weight(mu, nu_bar, a, params)
-    rhs = 0
-    for kb in interlacing_predecessors(lam):
-        link = _md.link_weight(lam, kb, a, params)
-        if link == 0:
-            continue
-        rhs += link * _md.p_up(kb, nu_bar, a[:-1], beta, params)
-    return lhs == rhs
-
-
 # --- distribution comparison ----------------------------------------------------
 
 def compare_distributions(
@@ -464,27 +409,3 @@ def gibbs_check(
         "tops": used,
         "vacuous": False,
     }
-
-
-def sample_from_table(table: TransientTable, tau, n: int, rng) -> Counter:
-    """Inverse-CDF sampling from the exact transient law (tail lumped into a
-    sentinel state), for null calibration of the comparison statistics."""
-    dist = sorted(table.distribution(tau).items())
-    states = [lam for lam, _ in dist]
-    probs = [p for _, p in dist]
-    out: Counter = Counter()
-    us = rng.random(n)
-    import bisect
-
-    cum = []
-    acc = 0.0
-    for p in probs:
-        acc += p
-        cum.append(acc)
-    for u in us:
-        idx = bisect.bisect_left(cum, u)
-        if idx >= len(states):
-            out[("tail",)] += 1
-        else:
-            out[states[idx]] += 1
-    return out

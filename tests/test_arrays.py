@@ -11,12 +11,15 @@ from macdyn.arrays import (
     enumerate_arrays,
     free_indices,
     interlaces,
+    interlacing_predecessors,
     horizontal_strip,
     tableau_to_array,
     xi,
     xi_inverse,
 )
 from macdyn.errors import BlockedMove, InvalidInput
+
+from helpers import letter_counts, with_move
 
 
 def weyl_dimension(lam, n):
@@ -106,6 +109,21 @@ class TestFreeIndices:
         for i in free_indices(nu_bar, lam):
             assert xi(nu_bar, lam, i) == i
 
+    def test_xi_scans_match_free_list(self):
+        # the direct scans of xi and xi_inverse against their definitions
+        # through the free list, on every slice with k <= 5, coordinates <= 3
+        for k in range(1, 6):
+            for lam in itertools.combinations_with_replacement(range(3, -1, -1), k):
+                for nu_bar in interlacing_predecessors(lam):
+                    free = free_indices(nu_bar, lam)
+                    for i in range(0, k + 2):
+                        assert xi(nu_bar, lam, i) == max([1] + [j for j in free if j <= i])
+                        pos = free.index(i) if i in free else None
+                        want = None if pos is None or pos + 1 == len(free) else free[pos + 1] - 1
+                        assert xi_inverse(nu_bar, lam, i) == want
+        with pytest.raises(InvalidInput):
+            xi((1, 0), (2, 0), 1)
+
 
 class TestAddBox:
     def test_plain(self):
@@ -182,19 +200,19 @@ class TestArrayType:
         assert arr.to_text() == "2;1,3;1,2,4"
 
     def test_with_move(self):
-        arr = InterlacingArray.zeros(2).with_move(2, 1)
+        arr = with_move(InterlacingArray.zeros(2), 2, 1)
         assert arr.levels == ((0,), (1, 0))
         with pytest.raises(InvalidInput):
             # a lone move of the bottom particle breaks interlacing: this is
             # exactly the situation the short-range push exists to repair
-            InterlacingArray.zeros(2).with_move(1, 1)
+            with_move(InterlacingArray.zeros(2), 1, 1)
 
     @settings(max_examples=50)
     @given(st.integers(1, 4), st.integers(0, 3))
     def test_zeros_and_text(self, depth, bump):
         arr = InterlacingArray.zeros(depth)
         for _ in range(bump):
-            arr = arr.with_move(depth, 1)
+            arr = with_move(arr, depth, 1)
         assert InterlacingArray.from_text(arr.to_text()) == arr
 
 
@@ -213,7 +231,7 @@ class TestSkewChains:
         from macdyn.arrays import SkewChain
 
         chain = SkewChain(((1,), (2, 1), (3, 2)))
-        assert chain.letter_counts() == (2, 2)
+        assert letter_counts(chain) == (2, 2)
         assert chain.bottom == (1,) and chain.top == (3, 2)
 
     def test_enumeration_matches_skew_polynomial(self):
@@ -230,7 +248,7 @@ class TestSkewChains:
                 weight = F(1)
                 for lower, upper in zip(chain.rows, chain.rows[1:]):
                     weight *= branch_psi(lower, upper, params)
-                for x, e in zip(xs, chain.letter_counts()):
+                for x, e in zip(xs, letter_counts(chain)):
                     weight *= x ** e
                 direct += weight
             assert skew_P(lam, mu, xs, params) == direct

@@ -12,6 +12,7 @@ from macdyn.classifier import (
     decompose,
     f_quant,
     fundamental,
+    iter_slices,
     left_pull,
     mix,
     pb,
@@ -123,6 +124,47 @@ class TestQuantities:
             for i in range(1, k + 1):
                 assert float(T_quant(cg, i)) == pytest.approx(float(T_quant(c0, i)), abs=1e-12)
                 assert float(S_quant(cg, i)) == pytest.approx(float(S_quant(c0, i)), abs=1e-12)
+
+
+# Schur, q-Whittaker and general points, exact and float, with the
+# coincidence t = q**2 among the general ones
+TUPLE_POINTS = [
+    (F(0), F(0)), (F(1, 3), F(1, 3)), (F(1, 2), F(0)), (F(1, 2), F(1, 3)), (F(1, 3), F(1, 9)),
+    (0.0, 0.0), (0.5, 0.0), (0.5, 0.3), (0.25, 0.75),
+]
+
+
+def _bits(value):
+    return type(value), (value.hex() if isinstance(value, float) else value)
+
+
+class TestSliceTuples:
+    @pytest.mark.parametrize("point", TUPLE_POINTS, ids=str)
+    def test_tuples_match_per_index_quantities(self, point):
+        params = MacParams(*point)
+        for k in range(1, 6):
+            for nb, lam in iter_slices(k, 3):
+                ctx = SliceContext(nb, lam, params)
+                assert [_bits(v) for v in ctx.S] == [
+                    _bits(S_quant(ctx, j)) for j in range(1, k + 1)]
+                assert [_bits(v) for v in ctx.T] == [
+                    _bits(T_quant(ctx, i)) for i in range(1, k + 1)]
+
+    @pytest.mark.parametrize("point", TUPLE_POINTS, ids=str)
+    def test_rsk_prefix_sums_match_quadratic_sums(self, point):
+        # r_j of rsk(h) as the per-index sums it was first written with
+        params = MacParams(*point)
+        for k in range(2, 6):
+            for nb, lam in iter_slices(k, 3):
+                ctx = SliceContext(nb, lam, params)
+                one = params.one()
+                for h in range(1, k + 1):
+                    sol = fundamental(rsk(h), ctx)
+                    for j in ctx.pushers:
+                        sums = sum(S_quant(ctx, i) for i in range(1, j + 1))
+                        sums -= sum(T_quant(ctx, i) for i in range(1, j))
+                        sums -= one if h <= j else 0 * one
+                        assert _bits(sol.r[j]) == _bits(sums / T_quant(ctx, j))
 
 
 class TestFQuantities:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -15,8 +16,10 @@ from macdyn.macdonald import (
     branch_psi,
     clear_caches,
     dim_standard,
+    factor_product,
     link_weight,
     mac_P,
+    net_exponents,
     p_up,
     p_up_row,
     pi_dual,
@@ -29,6 +32,8 @@ from macdyn.macdonald import (
     skew_Q,
     univariate_rates,
 )
+
+from helpers import reference_factor_product
 
 QT = MacParams(F(1, 2), F(1, 3))
 QW = MacParams(F(1, 2), 0)
@@ -136,6 +141,56 @@ class TestBranchPhi:
         lhs = skew_Q((2, 1), (1, 0), (F(1, 3),), QT)
         ratio = self.b_norm((2, 1), QT.q, QT.t) / self.b_norm((1,), QT.q, QT.t)
         assert lhs == ratio * skew_P((2, 1), (1, 0), (F(1, 3),), QT)
+
+
+# (q, t) points for the kernel: generic, t = 0, q = 0 (negative powers of q
+# divide by zero), q = t**2 and q = t (coincidences that make factors vanish)
+KERNEL_POINTS = [
+    (F(1, 2), F(1, 3)), (F(1, 2), F(0)), (F(0), F(1, 3)), (F(0), F(0)),
+    (F(1, 4), F(1, 2)), (F(1, 9), F(1, 3)), (F(1, 3), F(1, 3)), (F(2, 3), F(3, 5)),
+]
+
+
+def _kernel_outcome(fn, *args):
+    """The value with its type, floats by their bits, or the exception type."""
+    try:
+        value = fn(*args)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    return type(value), (value.hex() if isinstance(value, float) else value)
+
+
+class TestFactorProduct:
+    @pytest.mark.parametrize("point", KERNEL_POINTS, ids=str)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_matches_counter_twin(self, point, exact):
+        q, t = point if exact else map(float, point)
+        keys = [(a, b) for a in range(-2, 4) for b in range(-1, 3)]
+        rnd = random.Random(f"{point}{exact}")
+        outcomes = set()
+        for _ in range(1500):
+            num = [rnd.choice(keys) for _ in range(rnd.randint(0, 7))]
+            den = [rnd.choice(keys) for _ in range(rnd.randint(0, 7))]
+            got = _kernel_outcome(factor_product, net_exponents(num, den), q, t)
+            want = _kernel_outcome(
+                reference_factor_product, Counter(num), Counter(den), q, t)
+            assert got == want, (num, den)
+            outcomes.add(got if isinstance(got, str) else got[1] == 0)
+        assert False in outcomes  # nonzero values were compared
+
+    def test_vanishing_factors_in_map_order(self):
+        # at q = t the factor (1 - q t^-1) vanishes: first in the map decides
+        for q, t in [(F(1, 3), F(1, 3)), (1 / 3, 1 / 3)]:
+            assert factor_product({(1, -1): 1, (0, 0): -1}, q, t) == 0
+            with pytest.raises(ZeroDivisionError):
+                factor_product({(0, 0): -1, (1, -1): 1}, q, t)
+            assert factor_product({(1, -1): 0, (0, 0): 0}, q, t) == 1  # cancelled keys
+
+    def test_exact_path_builds_one_fraction(self):
+        net = net_exponents([(1, 0), (2, 1), (-1, 2)], [(0, 1), (2, 1)])
+        assert net == {(1, 0): 1, (2, 1): 0, (-1, 2): 1, (0, 1): -1}
+        value = factor_product(net, F(1, 2), F(1, 3))
+        assert value == F(1, 2) * (1 - F(2, 9)) / F(2, 3) and type(value) is F
 
 
 class TestPsiPrime:
@@ -308,7 +363,7 @@ class TestPUp:
         assert p_up((3, 1), (3, 1), a, beta, QT) == 1 / pi_dual(a, beta)
 
     def test_commutes_with_links(self):
-        from macdyn.oracle import p_up_link_commutation
+        from helpers import p_up_link_commutation
 
         a = (F(1), F(2), F(1, 2))
         for lam in [(0, 0, 0), (2, 1, 0), (3, 3, 1)]:

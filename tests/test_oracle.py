@@ -15,12 +15,10 @@ from macdyn.oracle import (
     exact_transient,
     gibbs_check,
     identity_suite,
-    p_up_iterate,
-    p_up_link_commutation,
-    poisson_tail,
-    sample_from_table,
     two_sample_chi_square,
 )
+
+from helpers import p_up_iterate, p_up_link_commutation, poisson_tail, sample_from_table
 
 QT = MacParams(F(1, 2), F(1, 3))
 

@@ -451,6 +451,29 @@ class TestIncrementalEngine:
             _check_interlacing(rows, [(1, 1, "jump")])
         _check_interlacing(rows, [(3, 1, "jump")])  # only touched pairs are checked
 
+    def test_corrupted_cascade_raises_before_the_trusted_final_array(self, monkeypatch):
+        # simulate skips re-validating its final array, so a cascade that
+        # breaks interlacing must be caught by the per-event check
+        import macdyn.simulator as sim
+
+        def pull_left(spec, rows, k, j, prev, rng):
+            return k, "pull"  # the leftmost particle: breaks interlacing from zeros
+
+        monkeypatch.setattr(sim, "propagate", pull_left)
+        spec = DynamicsSpec(params=SCHUR, a=(1.0,) * 3, depth=3, recipe="pb")
+        with pytest.raises(InvariantViolation, match="interlacing broken") as info:
+            simulate(spec, 5.0, seed=3)
+        assert info.traceback[-1].name == "_check_interlacing"
+
+    def test_final_array_equals_a_validated_one(self):
+        for params, recipe, h in [(QW, "pb", None), (SCHUR, "rsk", (1, 2, 1)), (QW, "qrow", None)]:
+            spec = DynamicsSpec(params=params, a=(1.0, 2.0, 0.5), depth=3, recipe=recipe, h=h)
+            for seed in range(5):
+                final, _ = simulate(spec, 3.0, seed=seed)
+                checked = InterlacingArray(final.levels)
+                assert final == checked and hash(final) == hash(checked)
+                assert all(type(c) is int for row in final.levels for c in row)
+
 
 _CAUSES = {"short_push", "long_push", "pull", "donated"}
 

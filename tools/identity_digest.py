@@ -1,0 +1,175 @@
+"""One SHA-256 over the package's outputs on a fixed grid, to show that two
+source trees compute the same results: exact values equal, floats
+bit-identical, the same exceptions raised.
+
+    python tools/identity_digest.py [--src DIR] [--dump FILE]
+
+It imports `macdyn` from DIR (default: `src/` beside this directory), so the
+same script can digest any checkout.  The grid:
+
+- every slice at levels 2-5 with coordinates in [0, 4] ([0, 3] at level 5),
+  at the float points (0, 0), (1/2, 0.3), (1/2, 0), (1/4, 3/4) and the exact
+  points (1/2, 1/3), (1/2, 0), (1/3, 1/9): S_j and T_i at every index, every
+  fundamental solution, its `check_system` result, `solve_r` on its (w, c)
+  and its `decompose` result on every basis;
+- fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion and a
+  constant-weight mixing, at N = 4 and four parameter points;
+- `macdyn classify` and `macdyn simulate` output bytes for a few inputs.
+
+`--dump` writes every hashed line, for diffing two trees whose digests
+differ.  This script is not part of the test suite; it runs in well under
+a minute on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from fractions import Fraction as F
+from pathlib import Path
+
+FLOAT_POINTS = ((0.0, 0.0), (0.5, 0.3), (0.5, 0.0), (0.25, 0.75))
+EXACT_POINTS = ((F(1, 2), F(1, 3)), (F(1, 2), F(0)), (F(1, 3), F(1, 9)))
+LEVELS = {2: 4, 3: 4, 4: 4, 5: 3}  # level -> largest coordinate
+SIM_POINTS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.3), (F(1, 2), F(1, 3)))
+SIM_DEPTH = 4
+SIM_SEEDS = range(4)
+
+
+def enc(value) -> str:
+    """Exact text of a value: Fractions as p/q, floats by their bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return "(" + ",".join(enc(v) for v in value) + ")"
+    return f"{type(value).__name__}:{value}"
+
+
+def attempt(fn, *args):
+    """fn(*args), or the name of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is part of the output
+        return f"raises {type(exc).__name__}"
+
+
+def slice_lines(cl, MacParams):
+    for point in FLOAT_POINTS + EXACT_POINTS:
+        params = MacParams(*point)
+        for k, top in LEVELS.items():
+            kinds = [cl.pb()] + [cl.rsk(h) for h in range(1, k + 1)]
+            kinds += [make(h) for make in (cl.right_push, cl.left_pull) for h in range(1, k)]
+            for nb, lam in cl.iter_slices(k, top):
+                ctx = cl.SliceContext(nb, lam, params)
+                head = f"{enc(point)} {nb} {lam}"
+                yield head + " S " + enc([attempt(cl.S_quant, ctx, j) for j in range(1, k + 1)])
+                yield head + " T " + enc([attempt(cl.T_quant, ctx, i) for i in range(1, k + 1)])
+                for kind in kinds:
+                    sol = attempt(cl.fundamental, kind, ctx)
+                    if isinstance(sol, str):
+                        yield f"{head} {kind} {sol}"
+                        continue
+                    yield f"{head} {kind} sol {enc(sol.as_rows())}"
+                    yield f"{head} {kind} check {enc(attempt(cl.check_system, ctx, sol))}"
+                    solved = attempt(cl.solve_r, ctx, sol.w, sol.c)
+                    yield f"{head} {kind} solve_r " + (
+                        solved if isinstance(solved, str) else enc(sorted(solved.r.items())))
+                    for basis in cl.BASES:
+                        dec = attempt(cl.decompose, ctx, sol, basis)
+                        if not isinstance(dec, str):
+                            dec = enc(sorted((str(kk), v) for kk, v in dec.items()))
+                        yield f"{head} {kind} {basis} {dec}"
+
+
+def simulate_lines(sim, MacParams):
+    n = SIM_DEPTH
+    for point in SIM_POINTS:
+        params = MacParams(*point)
+        a = tuple(1.0 + 0.25 * i for i in range(n))
+
+        def spec(recipe, **kw):
+            return sim.DynamicsSpec(params=params, a=a, depth=n, recipe=recipe, **kw)
+
+        specs = {
+            "pb": spec("pb"),
+            "qrow": spec("qrow"),
+            "rsk": spec("rsk", h=(1, 2, 1, 3)),
+            "det-insertion": spec("det-insertion", h=(1, 1, 2, 4)),
+            "mixing": spec("mixing", components=(spec("pb"), spec("rsk", h=(1, 1, 1, 1))),
+                           weights=(0.5, 0.5)),
+        }
+        for name, dyn in specs.items():
+            for seed in SIM_SEEDS:
+                out = attempt(sim.simulate, dyn, 2.0, seed)
+                if isinstance(out, str):
+                    yield f"{enc(point)} {name} {seed} {out}"
+                    continue
+                final, events = out
+                log = ";".join(f"{ev.time.hex()}{ev.cascade}" for ev in events)
+                yield f"{enc(point)} {name} {seed} {final.to_text()} {log}"
+
+
+CLI_RUNS = (
+    ["classify", "--nu-bar", "1,4", "--lam", "0,3,5", "--q", "1/2", "--t", "1/3",
+     "--basis", "r-l-pb"],
+    ["classify", "--nu-bar", "1,2,4", "--lam", "0,2,3,5", "--q", "1/2", "--t", "1/3",
+     "--basis", "rsk-r"],
+    ["classify", "--nu-bar", "1,2,4", "--lam", "0,2,3,5", "--q", "0.5", "--t", "0.3",
+     "--basis", "rsk-l"],
+    ["classify", "--nu-bar", "0,1,3,3", "--lam", "0,1,2,3,4", "--q", "1/3", "--t", "1/9",
+     "--basis", "const-c"],
+    ["classify", "--nu-bar", "1,1,2,4,4", "--lam", "0,1,2,3,4,5", "--q", "1/2", "--t", "0",
+     "--basis", "rsk-r"],
+    ["simulate", "--dynamics", "pb", "--N", "5", "--q", "0.5", "--t", "0.3",
+     "--a", "1,1.5,1,2,1", "--tau", "2", "--samples", "4", "--seed", "11"],
+    ["simulate", "--dynamics", "qrow", "--N", "5", "--q", "0.5", "--t", "0.3",
+     "--a", "1,1.5,1,2,1", "--tau", "2", "--samples", "4", "--seed", "11"],
+    ["simulate", "--dynamics", "rsk", "--h", "1,2,1,3", "--N", "4", "--q", "0",
+     "--t", "0", "--a", "1,1,1,1", "--tau", "2", "--samples", "4", "--seed", "11"],
+)
+
+
+def cli_lines(cli):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for argv in CLI_RUNS:
+            code = cli.main(argv + ["--out", str(out)])
+            data = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            yield f"{' '.join(argv)} exit {code} sha256 {hashlib.sha256(data).hexdigest()}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--dump", type=Path, help="write every hashed line to this file")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from macdyn import classifier as cl
+    from macdyn import cli
+    from macdyn import simulator as sim
+    from macdyn.macdonald import MacParams
+
+    digest = hashlib.sha256()
+    counts = {}
+    dump = args.dump.open("w", encoding="utf-8") if args.dump else None
+    for part, lines in (
+        ("slices", slice_lines(cl, MacParams)),
+        ("simulate", simulate_lines(sim, MacParams)),
+        ("cli", cli_lines(cli)),
+    ):
+        for line in lines:
+            digest.update(line.encode() + b"\n")
+            counts[part] = counts.get(part, 0) + 1
+            if dump:
+                dump.write(line + "\n")
+    if dump:
+        dump.close()
+    print(" ".join(f"{part}={n}" for part, n in counts.items()), digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
