@@ -14,6 +14,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from . import classifier as cl
 from . import insertions as ins
@@ -132,6 +133,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser main uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def _write(lines, path):
     text = "\n".join(lines) + ("\n" if lines else "")
     if path:
@@ -162,8 +169,7 @@ def _cmd_simulate(args) -> int:
         for i, final in enumerate(results):
             lines.append(_json_line({"trajectory": i, "final": final.to_text()}))
     else:
-        for i in range(args.samples):
-            rng = sim.trajectory_rng(seed, i)
+        for i, rng in enumerate(sim.trajectory_rngs(seed, args.samples)):
             final, events = sim.simulate(spec, args.tau, initial=initial, rng=rng)
             lines.append(
                 _json_line(
@@ -316,8 +322,7 @@ def _cmd_verify(args) -> int:
             sim.run_ensemble(spec, 1.0, n, seed, collect=sim.leftmost_coordinates)
         )
         standalone = Counter()
-        for i in range(n):
-            rng = sim.trajectory_rng((seed, 1), i)
+        for rng in sim.trajectory_rngs((seed, 1), n):
             line = sim.QTasep(q=q, a=(1.0,) * 4)
             line.simulate(1.0, rng)
             standalone[tuple(line.x[kk] + (kk + 1) for kk in range(4))] += 1
@@ -329,8 +334,7 @@ def _cmd_verify(args) -> int:
             sim.run_ensemble(specr, 1.0, n, (seed, 2), collect=sim.rightmost_coordinates)
         )
         standalone = Counter()
-        for i in range(n):
-            rng = sim.trajectory_rng((seed, 3), i)
+        for rng in sim.trajectory_rngs((seed, 3), n):
             line = sim.QPushTasep(q=q, a=(1.0,) * 4)
             line.simulate(1.0, rng)
             standalone[tuple(line.x[kk] - (kk + 1) for kk in range(4))] += 1
@@ -366,9 +370,8 @@ def _stringify(obj):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         handler = {
             "simulate": _cmd_simulate,
             "classify": _cmd_classify,

@@ -303,7 +303,10 @@ def psi_prime_one_box(mu: Sequence[int], j: int, params: MacParams):
 
 # --- Macdonald polynomial evaluation ------------------------------------------
 
+# (typed a, typed q, typed t) -> {(lam, number of variables): P_lam(a_1..a_n)}
 _P_CACHE: dict = {}
+_P_TABLES = 16  # tables kept; the oldest is dropped for a new one
+_P_TABLE_SIZE = 1 << 16  # a table this full is emptied before the next call
 
 
 def clear_caches() -> None:
@@ -338,7 +341,15 @@ def mac_P(lam: Sequence[int], a: Sequence, params: MacParams):
     lam = _strip_zeros(lam)
     if len(lam) > len(a):
         return 0 * params.one()
-    return _mac_P_rec(lam, a, params)
+    key = (tuple(map(_typed, a)), _typed(params.q), _typed(params.t))
+    table = _P_CACHE.get(key)
+    if table is None:
+        if len(_P_CACHE) >= _P_TABLES:
+            _P_CACHE.pop(next(iter(_P_CACHE), None), None)
+        table = _P_CACHE[key] = {}
+    elif len(table) >= _P_TABLE_SIZE:
+        table.clear()
+    return _mac_P_rec(lam, a, params, table)
 
 
 def _typed(value) -> tuple:
@@ -347,12 +358,15 @@ def _typed(value) -> tuple:
     return type(value), value
 
 
-def _mac_P_rec(lam: Signature, a: tuple, params: MacParams):
-    key = (lam, tuple(map(_typed, a)), _typed(params.q), _typed(params.t))
-    hit = _P_CACHE.get(key)
+def _mac_P_rec(lam: Signature, a: tuple, params: MacParams, table: dict):
+    """P_lam(a), memoized in table.  The recursion only drops trailing
+    variables, so every entry is for a prefix of one drift vector and
+    (lam, len(a)) identifies it."""
+    n = len(a)
+    key = (lam, n)
+    hit = table.get(key)
     if hit is not None:
         return hit
-    n = len(a)
     if n == 0:
         return params.one() if not lam else 0 * params.one()
     padded = lam + (0,) * (n - len(lam))
@@ -362,8 +376,10 @@ def _mac_P_rec(lam: Signature, a: tuple, params: MacParams):
         psi = branch_psi(mu, padded, params)
         if psi == 0:
             continue
-        total += psi * a[-1] ** (weight - sum(mu)) * _mac_P_rec(_strip_zeros(mu), a[:-1], params)
-    _P_CACHE[key] = total
+        total += psi * a[-1] ** (weight - sum(mu)) * _mac_P_rec(
+            _strip_zeros(mu), a[:-1], params, table
+        )
+    table[key] = total
     return total
 
 

@@ -1,22 +1,37 @@
 """Continuous-time event-driven simulation of multivariate dynamics on
 interlacing arrays, plus the standalone one-dimensional particle systems.
 
-The Gillespie loop (Gillespie's direct method) keeps one list of jump rates
-per level.  An event whose cascade moves rows k..K changes only the slices at
-levels k..K+1, so only those levels are rebuilt (level 1's rate is constant) and only those row pairs are
-checked for interlacing (the dependency-graph idea of Gibson and Bruck's
-next-reaction method).  The total rate and the selection walk still add the
-rates level by level in index order, so every run is bit-identical to
-rebuilding all levels after every event.  A cascade is applied strictly
-bottom-up, with the slice quantities for a propagation step evaluated on the
-post-move lower row and pre-move upper row.
+The Gillespie loop (Gillespie's direct method) works on nodes: a node is a
+state's jump rates, one tuple of (level, index, rate) entries per level, and
+their total.  Each dynamics owns a state table that maps every visited array
+(the flat tuple of its coordinates) to its node, shared by equal specs and
+across trajectories, holding at most _STATE_TABLE_SIZE nodes.
+
+- Hit: the state after an event is in the table, and the loop takes its node
+  as it is: no rate is rebuilt and no interlacing is checked.
+- Miss: an event whose cascade moved rows k..K changes only the slices at
+  levels k..K+1, so only those row pairs are checked for interlacing and only
+  those levels are rebuilt (level 1's rate is constant; the dependency-graph
+  idea of Gibson and Bruck's next-reaction method).  The new node then
+  enters the table if the table has room.
+
+A state enters the table only after its touched row pairs passed the check,
+and the state before the event interlaced, so every state in the table
+interlaces.  A node's total and the selection walk add the rates level by
+level in index order, so every run is bit-identical to rebuilding all
+levels and checking every row pair after every event.  Specs whose slice
+weights are a callable have no tables and take the miss path on every event.
+A cascade is applied strictly bottom-up, with the slice quantities for a
+propagation step evaluated on the post-move lower row and pre-move upper row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import chain
+from types import MappingProxyType
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,14 +115,14 @@ class DynamicsSpec:
                     raise InvalidInput("mixing components must share params, a, and depth")
 
     @cached_property
-    def _slice_cache(self) -> dict | None:
-        """The (nu_bar, lam) -> slice data table of this dynamics, shared by
-        equal specs; None when slice weights are a callable (nothing cached).
+    def _tables(self) -> _DynamicsTables | None:
+        """The slice and state tables of this dynamics, shared by equal specs;
+        None when slice weights are a callable (nothing cached).
 
         Computed once per spec, so the hot loop never builds or hashes the
         spec's cache key."""
         key = _spec_cache_key(self)
-        return None if key is None else _SLICE_CACHE.setdefault(key, {})
+        return None if key is None else _TABLES.setdefault(key, _DynamicsTables())
 
 
 def _level_kind(spec: DynamicsSpec, k: int):
@@ -163,23 +178,49 @@ def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
     raise InvalidInput(f"recipe {spec.recipe!r} has no slice solution")
 
 
-_SLICE_CACHE: dict = {}
+_STATE_TABLE_SIZE = 1 << 15  # nodes per dynamics; later states take the miss path
+
+
+class _DynamicsTables:
+    """The caches of one dynamics.
+
+    slices maps (nu_bar, lam) to the slice data of _slice_data or _oc_data;
+    states maps a visited array, as the flat tuple of its coordinates, to its
+    node (per-level entry tuples, total rate).  misses counts the nodes built
+    by simulate, refused those left out because states was full."""
+
+    __slots__ = ("slices", "states", "misses", "refused")
+
+    def __init__(self):
+        self.slices: dict = {}
+        self.states: dict = {}
+        self.misses = 0
+        self.refused = 0
+
+    def clear(self) -> None:
+        self.slices.clear()
+        self.states.clear()
+        self.misses = self.refused = 0
+
+
+_TABLES: dict = {}  # spec cache key -> _DynamicsTables
 
 
 def clear_caches() -> None:
-    for table in _SLICE_CACHE.values():
-        table.clear()  # specs keep a reference to their table
-    _SLICE_CACHE.clear()
+    for tables in _TABLES.values():
+        tables.clear()  # specs keep a reference to their tables
+    _TABLES.clear()
 
 
 def _spec_cache_key(spec: DynamicsSpec):
-    """Everything that determines the slice data of spec, or None when the
-    slice weights are a callable and nothing is cached."""
+    """Everything that determines the slice data and the nodes of spec, or
+    None when the slice weights are a callable and nothing is cached."""
     if spec.recipe == "mixing" and callable(spec.weights):
         return None
     return (
         spec.recipe,
         spec.h,
+        tuple(_typed(v) for v in spec.a),
         _typed(spec.params.q),
         _typed(spec.params.t),
         tuple(_typed(v) for v in (() if spec.weights is None else spec.weights)),
@@ -188,73 +229,80 @@ def _spec_cache_key(spec: DynamicsSpec):
 
 
 def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Cached float view of the slice solution: (w items, c, r, xi table).
+    """Cached float view of the slice solution: (entries, branch).
 
-    States recur heavily during an ensemble, so the per-slice solve is
-    memoized in the spec's table on the slice (the level is len(lam))."""
-    cache = spec._slice_cache
-    if cache is not None:
-        hit = cache.get((nu_bar, lam))
+    entries holds (k, m, a_k * w_m) for every index m with w_m > 0, in index
+    order; branch[j - 1] is (c_j, r_j, xi(j)) for a pusher j and None
+    otherwise.  States recur heavily during an ensemble, so the per-slice
+    solve is memoized in the spec's table on the slice (the level is
+    len(lam)), and equal entry tuples are shared by every node holding them."""
+    tables = spec._tables
+    if tables is not None:
+        hit = tables.slices.get((nu_bar, lam))
         if hit is not None:
             return hit
     sol = slice_solution(spec, k, nu_bar, lam)
-    w_items = tuple((m, float(v)) for m, v in sorted(sol.w.items()))
-    for m, v in w_items:
+    a_k = float(spec.a[k - 1])
+    entries = []
+    for m, v in sorted(sol.w.items()):
+        v = float(v)
         if v < -_PROB_TOL:
             raise InvariantViolation(
                 f"negative jump rate {v} at level {k}, index {m}: {spec.recipe} is not "
                 f"an honest dynamics on this state"
             )
-    c = {}
-    r = {}
-    xi_of = {}
+        if v > 0:
+            entries.append((k, m, a_k * v))
+    branch = [None] * (k - 1)
     for j in sol.c:
         cj, rj = float(sol.c[j]), float(sol.r[j])
         if rj < -_PROB_TOL or cj - rj < -_PROB_TOL or cj > 1 + _PROB_TOL:
             raise InvariantViolation(
                 f"triggered-move probabilities outside [0,1] at level {k}: c={cj}, r={rj}"
             )
-        c[j] = cj
-        r[j] = rj
-        xi_of[j] = xi(nu_bar, lam, j)
-    data = (w_items, c, r, xi_of)
-    if cache is not None:
-        cache[(nu_bar, lam)] = data
+        branch[j - 1] = (cj, rj, xi(nu_bar, lam, j))
+    data = (tuple(entries), tuple(branch))
+    if tables is not None:
+        tables.slices[(nu_bar, lam)] = data
     return data
 
 
 def _oc_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Cached (rates, push tables) for the randomized-insertion recipe."""
-    cache = spec._slice_cache
-    hit = cache.get((nu_bar, lam))
+    """Cached (entries, F, f) for the randomized-insertion recipe, entries as
+    in _slice_data."""
+    slices = spec._tables.slices
+    hit = slices.get((nu_bar, lam))
     if hit is not None:
         return hit
     ctx = SliceContext(nu_bar, lam, spec.params)
     F = [float(v) for v in _F_values(ctx)]
     f = [float(f_quant(ctx, i)) for i in range(1, k + 1)]
-    rates = []
+    a_k = float(spec.a[k - 1])
+    entries = []
     for j in range(1, k + 1):
         rate = 1 - F[j - 1]
         for rr in range(j + 1, k + 1):
             rate *= F[rr - 1]
         if rate:
-            rates.append((j, rate))
-    data = (tuple(rates), F, f)
-    cache[(nu_bar, lam)] = data
+            entries.append((k, j, a_k * rate))
+    data = (tuple(entries), F, f)
+    slices[(nu_bar, lam)] = data
     return data
+
+
+def _level_entries(spec: DynamicsSpec, rows, k: int) -> tuple:
+    """Level k's (k, index, rate) entries, in index order, for the current state."""
+    if k == 1:
+        return ((1, 1, float(spec.a[0])),)
+    nu_bar, lam = tuple(rows[k - 2]), tuple(rows[k - 1])
+    if spec.recipe == "oconnell-pei":
+        return _oc_data(spec, k, nu_bar, lam)[0]
+    return _slice_data(spec, k, nu_bar, lam)[0]
 
 
 def jump_rates(spec: DynamicsSpec, rows: Sequence[Sequence[int]], k: int):
     """Independent jump rates [(index, rate)] at level k for the current state."""
-    if k == 1:
-        return [(1, float(spec.a[0]))]
-    a_k = float(spec.a[k - 1])
-    nu_bar, lam = tuple(rows[k - 2]), tuple(rows[k - 1])
-    if spec.recipe == "oconnell-pei":
-        rates, _, _ = _oc_data(spec, k, nu_bar, lam)
-        return [(j, a_k * rate) for j, rate in rates]
-    w_items, _, _, _ = _slice_data(spec, k, nu_bar, lam)
-    return [(m, a_k * v) for m, v in w_items if v > 0]
+    return [(m, rate) for _, m, rate in _level_entries(spec, rows, k)]
 
 
 def propagate(spec: DynamicsSpec, rows, k: int, j: int, prev: int, rng):
@@ -283,12 +331,9 @@ def propagate(spec: DynamicsSpec, rows, k: int, j: int, prev: int, rng):
                 return target, "long_push"
             u -= p
         raise InvariantViolation("randomized insertion probabilities do not sum to one")
-    _, c_tab, r_tab, xi_of = _slice_data(spec, k, nu_bar, lam)
-    c = c_tab[j]
-    r = r_tab[j]
+    c, r, target = _slice_data(spec, k, nu_bar, lam)[1][j - 1]
     u = rng.random()
     if u < r:
-        target = xi_of[j]
         return target, ("long_push" if target == j else "donated")
     if u < c:
         return j + 1, "pull"
@@ -335,8 +380,41 @@ def trajectory_rng(seed, index: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _level_rates(spec: DynamicsSpec, rows, k: int) -> list:
-    return [(k, m, rate) for m, rate in jump_rates(spec, rows, k)]
+def trajectory_rngs(seed, count: int) -> Iterator[np.random.Generator]:
+    """The streams ``trajectory_rng(seed, i)`` for i = 0..count-1, in order.
+
+    One Generator is rewound to each stream in turn, which costs far less
+    than building a fresh Philox per trajectory; each stream is valid until
+    the next one is drawn."""
+    rng = trajectory_rng(seed)
+    bits = rng.bit_generator
+    start = bits.state
+    for i in range(count):
+        bits.state = start
+        bits.advance(i << 128)
+        yield rng
+
+
+def _node(levels: tuple) -> tuple:
+    """(levels, total rate), the total added level by level in index order."""
+    total = 0.0
+    for entries in levels:
+        for _, _, rate in entries:
+            total += rate
+    return levels, total
+
+
+def _store(tables: _DynamicsTables | None, key: tuple, node: tuple) -> None:
+    if tables is None:
+        return
+    tables.misses += 1
+    if len(tables.states) < _STATE_TABLE_SIZE:
+        tables.states[key] = node
+    else:
+        tables.refused += 1
+
+
+_NO_STATES = MappingProxyType({})  # the state table of specs that have none
 
 
 def simulate(
@@ -357,16 +435,19 @@ def simulate(
         raise InvalidInput("initial state has wrong depth")
     if rng is None:
         rng = trajectory_rng(seed)
+    tables = spec._tables
+    states = _NO_STATES if tables is None else tables.states
     rows = [list(r) for r in initial.levels]
+    key = tuple(chain.from_iterable(rows))
+    node = states.get(key)
+    if node is None:  # the initial array was validated on construction
+        node = _node(tuple(_level_entries(spec, rows, k) for k in range(1, n + 1)))
+        _store(tables, key, node)
     # levels[k - 1] holds level k's (k, index, rate) entries in index order
-    levels = [_level_rates(spec, rows, k) for k in range(1, n + 1)]
+    levels, total = node
     t = 0.0
     events: list[Event] = []
     while True:
-        total = 0.0
-        for entries in levels:
-            for _, _, rate in entries:
-                total += rate
         if total <= 0:
             break
         t += rng.exponential(1.0 / total)
@@ -395,13 +476,21 @@ def simulate(
             rows[lvl - 1][target - 1] += 1
             cascade.append((lvl, target, cause))
             j = target
-        _check_interlacing(rows, cascade)
-        for lvl in range(max(k, 2), min(cascade[-1][0] + 1, n) + 1):  # level 1 is constant
-            levels[lvl - 1] = _level_rates(spec, rows, lvl)
+        key = tuple(chain.from_iterable(rows))
+        node = states.get(key)
+        if node is None:
+            _check_interlacing(rows, cascade)
+            fresh = list(levels)
+            for lvl in range(max(k, 2), min(cascade[-1][0] + 1, n) + 1):  # level 1 is constant
+                fresh[lvl - 1] = _level_entries(spec, rows, lvl)
+            node = _node(tuple(fresh))
+            _store(tables, key, node)
+        levels, total = node
         if log_events:
             events.append(Event(time=t, cascade=tuple(cascade)))
-    # the initial array was validated and every event checked the row pairs
-    # its cascade touched, so the final rows need no second validation
+    # the initial array was validated and every state reached interlaces (a
+    # table hit, or a miss whose touched row pairs passed the check), so the
+    # final rows need no second validation
     return InterlacingArray.trusted(tuple(tuple(r) for r in rows)), events
 
 
@@ -416,19 +505,12 @@ def run_ensemble(
     """Simulate `samples` independent trajectories with per-trajectory Philox
     streams; returns [collect(final_state)] ordered by trajectory index.
 
-    Trajectory i draws from ``trajectory_rng(seed, i)``.  One Generator is
-    rewound to each trajectory's stream in turn, which costs far less than
-    building a fresh Philox per trajectory."""
+    Trajectory i draws from ``trajectory_rng(seed, i)``."""
     collect = collect or (lambda arr: arr)
     if initial is None:
         initial = InterlacingArray.zeros(spec.depth)
-    rng = trajectory_rng(seed)
-    bits = rng.bit_generator
-    start = bits.state
     out = []
-    for i in range(samples):
-        bits.state = start
-        bits.advance(i << 128)
+    for rng in trajectory_rngs(seed, samples):
         final, _ = simulate(spec, tau, initial=initial, rng=rng, log_events=False)
         out.append(collect(final))
     return out

@@ -1,5 +1,6 @@
 import json
 
+from macdyn import cli
 from macdyn.cli import main
 from macdyn.insertions import f_h_table, permutation_words
 
@@ -197,3 +198,24 @@ class TestVerify:
         record = json.loads(out)
         assert record["qtasep"]["pvalue"] > 0.001
         assert record["qpushtasep"]["pvalue"] > 0.001
+
+
+class TestParserReuse:
+    ARGVS = (
+        ("classify", "--nu-bar", "1", "--lam", "0,3", "--q", "1/2"),  # no --t
+        ("simulate", "--dynamics", "pb", "--N", "3", "--q", "0.5", "--a", "1,1,1",
+         "--tau", "1", "--samples", "3", "--seed", "4"),
+        ("classify", "--nu-bar", "1", "--lam", "0,3", "--q", "1/2", "--t", "0",
+         "--basis", "r-l-pb"),
+    )
+
+    def test_one_parser_gives_fresh_parser_results(self, capsys):
+        reused = [run(capsys, *argv) for argv in self.ARGVS]
+        assert cli._parser() is cli._parser()
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in reused] == [1, 0, 0]
+        assert "--t" in reused[0][2]
+        assert reused == fresh

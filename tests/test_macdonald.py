@@ -275,6 +275,20 @@ class TestMacP:
         got = mac_P((2, 1, 0), (1.0, 0.5, 0.25), MacParams(0.5, 0.25))
         assert type(got) is float and got == want
 
+    def test_cache_is_bounded(self, monkeypatch):
+        import macdyn.macdonald as mac
+
+        drifts = [(F(1), F(k), F(1, k + 1)) for k in range(1, 2 * mac._P_TABLES)]
+        shapes = [(3, 1, 0), (2, 2, 1), (4, 0, 0)]
+        clear_caches()
+        want = [mac_P(lam, a, QT) for a in drifts for lam in shapes]
+        assert len(mac._P_CACHE) == mac._P_TABLES
+        clear_caches()
+        monkeypatch.setattr(mac, "_P_TABLE_SIZE", 4)
+        assert [mac_P(lam, a, QT) for a in drifts for lam in shapes] == want
+        # emptied before each call: at most one call's 11 entries, not all 17
+        assert all(len(table) <= 11 for table in mac._P_CACHE.values())
+
 
 class TestSkew:
     def test_identity_strip(self):

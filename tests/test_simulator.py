@@ -545,6 +545,94 @@ class TestSimulatorProperties:
         assert _outcome(lambda: simulate(mixed, 2.0, rng=trajectory_rng(seed))) == want
 
 
+class TestStateTable:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("q,t", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.3)])
+    def test_warm_cold_and_full_tables_agree(self, q, t, n, monkeypatch):
+        import macdyn.simulator as sim
+
+        specs = _every_recipe(MacParams(q, t), n)
+
+        def outcomes(seeds):
+            return {
+                (i, seed): _outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(seed, 5)))
+                for seed in seeds
+                for i, spec in enumerate(specs)
+            }
+
+        clear_caches()
+        cold = outcomes((0, 1))
+        built = [spec._tables.misses for spec in specs]
+        warm = outcomes((1, 0))  # every state now comes from the table
+        assert [spec._tables.misses for spec in specs] == built
+        clear_caches()
+        monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 3)
+        full = outcomes((0, 1))
+        assert all(len(spec._tables.states) <= 3 for spec in specs)
+        assert any(spec._tables.refused for spec in specs)
+        assert cold == warm == full
+
+    def test_specs_differing_only_in_a_share_no_nodes(self):
+        def make(a):
+            return DynamicsSpec(params=QW, a=a, depth=3, recipe="pb")
+
+        def logs(spec):
+            return [_outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(29, i))) for i in range(20)]
+
+        drifts = ((1.0, 2.0, 0.5), (1.0, 1.0, 1.0), (F(1), F(2), F(1, 2)))
+        fresh = []
+        for a in drifts:
+            clear_caches()
+            fresh.append(logs(make(a)))
+        clear_caches()
+        specs = [make(a) for a in drifts]
+        assert [logs(spec) for spec in specs] == fresh
+        assert len({id(spec._tables) for spec in specs}) == 3
+        nodes = [{id(node) for node in spec._tables.states.values()} for spec in specs]
+        assert not (nodes[0] & nodes[1] or nodes[0] & nodes[2] or nodes[1] & nodes[2])
+
+    def test_corrupted_cascade_raises_on_a_warm_table(self, monkeypatch):
+        import macdyn.simulator as sim
+
+        spec = DynamicsSpec(params=SCHUR, a=(1.0,) * 3, depth=3, recipe="pb")
+        run_ensemble(spec, 5.0, 200, seed=3)
+        assert len(spec._tables.states) > 50
+        monkeypatch.setattr(sim, "propagate", lambda spec, rows, k, j, prev, rng: (k, "pull"))
+        with pytest.raises(InvariantViolation, match="interlacing broken") as info:
+            simulate(spec, 5.0, seed=3)
+        assert info.traceback[-1].name == "_check_interlacing"
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        import macdyn.simulator as sim
+
+        spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="qrow")
+        clear_caches()
+        want = run_ensemble(spec, 2.0, 1500, seed=37)
+        clear_caches()
+        monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 40)
+        assert run_ensemble(spec, 2.0, 1500, seed=37) == want
+        tables = spec._tables
+        assert len(tables.states) == 40
+        assert tables.refused == tables.misses - 40 > 0
+
+    def test_callable_weights_take_the_miss_path(self):
+        comps = (
+            DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="pb"),
+            DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="rsk", h=(1, 1, 1)),
+        )
+
+        def mixing(weights):
+            return DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="mixing",
+                                components=comps, weights=weights)
+
+        per_slice = mixing(lambda k, nu_bar, lam: (0.25, 0.75))
+        constant = mixing((0.25, 0.75))
+        assert per_slice._tables is None
+        for seed in range(5):
+            want = _outcome(lambda: simulate(constant, 3.0, seed=seed))
+            assert _outcome(lambda: simulate(per_slice, 3.0, seed=seed)) == want
+
+
 class TestSliceCacheKey:
     def test_mixings_with_equal_weights_keep_their_own_slices(self):
         params = MacParams(0.5, 0.0)
@@ -556,9 +644,12 @@ class TestSliceCacheKey:
         for other in (make("rsk", (1, 1, 1)), make("r", (1, 1))):
             spec = make("mixing", components=(make("pb"), other), weights=(0.5, 0.5))
             for nb, lam in iter_slices(3, 4):
-                w_items, c, r, _ = _slice_data(spec, 3, nb, lam)
+                entries, branch = _slice_data(spec, 3, nb, lam)  # a_3 = 1
+                w_items = tuple((m, v) for _, m, v in entries)
+                c = {j: b[0] for j, b in enumerate(branch, 1) if b is not None}
+                r = {j: b[1] for j, b in enumerate(branch, 1) if b is not None}
                 sol = slice_solution(spec, 3, nb, lam)
-                assert w_items == tuple((m, float(v)) for m, v in sorted(sol.w.items()))
+                assert w_items == tuple((m, float(v)) for m, v in sorted(sol.w.items()) if v > 0)
                 assert c == {j: float(v) for j, v in sol.c.items()}, (nb, lam)
                 assert r == {j: float(v) for j, v in sol.r.items()}, (nb, lam)
 

@@ -13,7 +13,9 @@ same script can digest any checkout.  The grid:
   fundamental solution, its `check_system` result, `solve_r` on its (w, c)
   and its `decompose` result on every basis;
 - fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion and a
-  constant-weight mixing, at N = 4 and four parameter points;
+  constant-weight mixing, at N = 4 and four parameter points, hashed three
+  times: from empty simulator caches, again on the caches the first pass
+  filled, and again after `simulator.clear_caches()`;
 - `macdyn classify` and `macdyn simulate` output bytes for a few inputs.
 
 `--dump` writes every hashed line, for diffing two trees whose digests
@@ -131,6 +133,12 @@ CLI_RUNS = (
 )
 
 
+def after(step, lines):
+    """Run step(), then yield from lines."""
+    step()
+    yield from lines
+
+
 def cli_lines(cli):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -158,6 +166,8 @@ def main(argv=None) -> int:
     for part, lines in (
         ("slices", slice_lines(cl, MacParams)),
         ("simulate", simulate_lines(sim, MacParams)),
+        ("simulate-warm", simulate_lines(sim, MacParams)),
+        ("simulate-cleared", after(sim.clear_caches, simulate_lines(sim, MacParams))),
         ("cli", cli_lines(cli)),
     ):
         for line in lines:
