@@ -17,6 +17,7 @@ from .classifier import (
     check_system,
     decompose,
     fundamental,
+    fundamental_kinds,
     left_pull,
     mix,
     pb,

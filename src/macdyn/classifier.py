@@ -271,6 +271,16 @@ def left_pull(h: int) -> FundamentalKind:
     return FundamentalKind("l", h)
 
 
+def fundamental_kinds(k: int) -> list[FundamentalKind]:
+    """Every fundamental kind at level k: pb, rsk(1..k), r(1..k-1), l(1..k-1)."""
+    return (
+        [pb()]
+        + [rsk(h) for h in range(1, k + 1)]
+        + [right_push(h) for h in range(1, k)]
+        + [left_pull(h) for h in range(1, k)]
+    )
+
+
 def solve_r(ctx: SliceContext, w: dict, c: dict) -> SliceSolution:
     """Forward substitution for the push probabilities r given jump rates w and
     propagation probabilities c.
@@ -499,16 +509,7 @@ def positivity_scan(
     report = ScanReport(params=params, max_level=max_level, max_coord=max_coord)
     kinds_by_level: dict[int, list[tuple[str, FundamentalKind]]] = {}
     for k in range(2, max_level + 1):
-        kinds = []
-        for fam in families:
-            if fam == "pb":
-                kinds.append(("pb", pb()))
-            elif fam == "rsk":
-                kinds.extend((f"rsk({h})", rsk(h)) for h in range(1, k + 1))
-            elif fam == "r":
-                kinds.extend((f"r({h})", right_push(h)) for h in range(1, k))
-            elif fam == "l":
-                kinds.extend((f"l({h})", left_pull(h)) for h in range(1, k))
+        kinds = [(str(kind), kind) for kind in fundamental_kinds(k) if kind.tag in families]
         kinds_by_level[k] = kinds
         for name, kind in kinds:
             report.results.setdefault((name, k), None)

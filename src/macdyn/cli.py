@@ -196,10 +196,6 @@ def _cmd_classify(args) -> int:
     params = MacParams(args.q, args.t)
     ctx = cl.SliceContext(_signature_arg(args.nu_bar), _signature_arg(args.lam), params)
     k = ctx.k
-    kinds = [("pb", cl.pb())]
-    kinds += [(f"rsk({h})", cl.rsk(h)) for h in range(1, k + 1)]
-    kinds += [(f"r({h})", cl.right_push(h)) for h in range(1, k)]
-    kinds += [(f"l({h})", cl.left_pull(h)) for h in range(1, k)]
     record = {
         "nu_bar": list(reversed(ctx.nu_bar)),
         "lam": list(reversed(ctx.lam)),
@@ -208,7 +204,7 @@ def _cmd_classify(args) -> int:
         "S": {str(j): _fmt(ctx.S[j - 1]) for j in range(1, k + 1)},
         "solutions": {},
     }
-    for name, kind in kinds:
+    for kind in cl.fundamental_kinds(k):
         sol = cl.fundamental(kind, ctx)
         entry = _solution_json(sol)
         entry["honest"] = sol.is_honest()
@@ -220,7 +216,7 @@ def _cmd_classify(args) -> int:
                 )}
             except (cl.UnsupportedBasis, Infeasible) as exc:
                 entry["decomposition"] = {"error": str(exc)}
-        record["solutions"][name] = entry
+        record["solutions"][str(kind)] = entry
     _write([_json_line(record)], args.out)
     return 0
 

@@ -3,9 +3,11 @@ interlacing arrays, plus the standalone one-dimensional particle systems.
 
 The Gillespie loop (Gillespie's direct method) works on nodes: a node is a
 state's jump rates, one tuple of (level, index, rate) entries per level, and
-their total.  Each dynamics owns a state table that maps every visited array
-(the flat tuple of its coordinates) to its node, shared by equal specs and
-across trajectories, holding at most _STATE_TABLE_SIZE nodes.
+their total.  Each DynamicsSpec owns its tables, made on first use and freed
+with the spec: a slice table of per-slice rates and cascade outcomes, and a
+state table that maps every visited array (the flat tuple of its
+coordinates) to its node, shared across trajectories.  Each holds at most
+_STATE_TABLE_SIZE entries.
 
 - Hit: the state after an event is in the table, and the loop takes its node
   as it is: no rate is rebuilt and no interlacing is checked.
@@ -21,15 +23,17 @@ interlaces.  A node's total and the selection walk add the rates level by
 level in index order, so every run is bit-identical to rebuilding all
 levels and checking every row pair after every event.  Specs whose slice
 weights are a callable have no tables and take the miss path on every event.
-A cascade is applied strictly bottom-up, with the slice quantities for a
-propagation step evaluated on the post-move lower row and pre-move upper row.
+A cascade is applied strictly bottom-up.  Each propagation step samples one
+outcome of a branch list built once per slice, on the post-move lower row and
+pre-move upper row; the nearest-neighbor recipes and the randomized
+insertion share that one list shape and one sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
@@ -50,7 +54,7 @@ from .classifier import (
     solve_w,
 )
 from .errors import InvalidInput, InvariantViolation
-from .macdonald import MacParams, _typed
+from .macdonald import MacParams
 
 _PROB_TOL = 1e-9
 
@@ -77,6 +81,9 @@ class DynamicsSpec:
     rsk and det-insertion, depth-1 for r and l).  A mixing recipe carries
     component specs and either one constant weight per component or a callable
     (level, nu_bar, lam) -> weights evaluated per slice.
+
+    The spec owns the slice and state tables of its runs (`_tables`); they
+    are freed with it, and equal specs do not share them.
     """
 
     params: MacParams
@@ -116,13 +123,12 @@ class DynamicsSpec:
 
     @cached_property
     def _tables(self) -> _DynamicsTables | None:
-        """The slice and state tables of this dynamics, shared by equal specs;
-        None when slice weights are a callable (nothing cached).
-
-        Computed once per spec, so the hot loop never builds or hashes the
-        spec's cache key."""
-        key = _spec_cache_key(self)
-        return None if key is None else _TABLES.setdefault(key, _DynamicsTables())
+        """The slice and state tables of this dynamics, made on first use and
+        freed with the spec; None when slice weights are a callable (nothing
+        cached).  A spec is frozen, so its tables never go stale."""
+        if self.recipe == "mixing" and callable(self.weights):
+            return None
+        return _DynamicsTables()
 
 
 def _level_kind(spec: DynamicsSpec, k: int):
@@ -178,16 +184,17 @@ def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
     raise InvalidInput(f"recipe {spec.recipe!r} has no slice solution")
 
 
-_STATE_TABLE_SIZE = 1 << 15  # nodes per dynamics; later states take the miss path
+_STATE_TABLE_SIZE = 1 << 15  # entries per table; later ones are recomputed on use
 
 
 class _DynamicsTables:
-    """The caches of one dynamics.
+    """The caches of one dynamics, owned by its spec.
 
-    slices maps (nu_bar, lam) to the slice data of _slice_data or _oc_data;
-    states maps a visited array, as the flat tuple of its coordinates, to its
-    node (per-level entry tuples, total rate).  misses counts the nodes built
-    by simulate, refused those left out because states was full."""
+    slices maps (nu_bar, lam) to the slice data of _slice_data; states maps
+    a visited array, as the flat tuple of its coordinates, to its node
+    (per-level entry tuples, total rate).  Each holds at most
+    _STATE_TABLE_SIZE entries.  misses counts the nodes built by simulate,
+    refused those left out because states was full."""
 
     __slots__ = ("slices", "states", "misses", "refused")
 
@@ -197,43 +204,16 @@ class _DynamicsTables:
         self.misses = 0
         self.refused = 0
 
-    def clear(self) -> None:
-        self.slices.clear()
-        self.states.clear()
-        self.misses = self.refused = 0
-
-
-_TABLES: dict = {}  # spec cache key -> _DynamicsTables
-
-
-def clear_caches() -> None:
-    for tables in _TABLES.values():
-        tables.clear()  # specs keep a reference to their tables
-    _TABLES.clear()
-
-
-def _spec_cache_key(spec: DynamicsSpec):
-    """Everything that determines the slice data and the nodes of spec, or
-    None when the slice weights are a callable and nothing is cached."""
-    if spec.recipe == "mixing" and callable(spec.weights):
-        return None
-    return (
-        spec.recipe,
-        spec.h,
-        tuple(_typed(v) for v in spec.a),
-        _typed(spec.params.q),
-        _typed(spec.params.t),
-        tuple(_typed(v) for v in (() if spec.weights is None else spec.weights)),
-        tuple(_spec_cache_key(comp) for comp in spec.components),
-    )
-
 
 def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Cached float view of the slice solution: (entries, branch).
+    """Cached float view of the dynamics on a slice: (entries, branch).
 
     entries holds (k, m, a_k * w_m) for every index m with w_m > 0, in index
-    order; branch[j - 1] is (c_j, r_j, xi(j)) for a pusher j and None
-    otherwise.  States recur heavily during an ensemble, so the per-slice
+    order.  branch[j - 1] lists the triggered moves after lower particle j
+    moved without a short push, as (threshold, target, cause) outcomes with
+    increasing thresholds: propagate draws u uniform on [0, 1) and takes the
+    first outcome with u < threshold, or none.  Outcomes of probability zero
+    are left out.  States recur heavily during an ensemble, so the per-slice
     solve is memoized in the spec's table on the slice (the level is
     len(lam)), and equal entry tuples are shared by every node holding them."""
     tables = spec._tables
@@ -241,6 +221,18 @@ def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
         hit = tables.slices.get((nu_bar, lam))
         if hit is not None:
             return hit
+    if spec.recipe == "oconnell-pei":
+        data = _insertion_slice(spec, k, nu_bar, lam)
+    else:
+        data = _nearest_neighbor_slice(spec, k, nu_bar, lam)
+    if tables is not None and len(tables.slices) < _STATE_TABLE_SIZE:
+        tables.slices[(nu_bar, lam)] = data
+    return data
+
+
+def _nearest_neighbor_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
+    """Slice data of a (w, c, r) dynamics: pusher j pushes to xi(j) with
+    probability r_j and pulls j + 1 with probability c_j - r_j."""
     sol = slice_solution(spec, k, nu_bar, lam)
     a_k = float(spec.a[k - 1])
     entries = []
@@ -253,30 +245,30 @@ def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
             )
         if v > 0:
             entries.append((k, m, a_k * v))
-    branch = [None] * (k - 1)
+    branch = [()] * (k - 1)
     for j in sol.c:
         cj, rj = float(sol.c[j]), float(sol.r[j])
         if rj < -_PROB_TOL or cj - rj < -_PROB_TOL or cj > 1 + _PROB_TOL:
             raise InvariantViolation(
                 f"triggered-move probabilities outside [0,1] at level {k}: c={cj}, r={rj}"
             )
-        branch[j - 1] = (cj, rj, xi(nu_bar, lam, j))
-    data = (tuple(entries), tuple(branch))
-    if tables is not None:
-        tables.slices[(nu_bar, lam)] = data
-    return data
+        target = xi(nu_bar, lam, j)
+        outcomes = []
+        if rj > 0:
+            outcomes.append((rj, target, "long_push" if target == j else "donated"))
+        if cj > rj:
+            outcomes.append((cj, j + 1, "pull"))
+        branch[j - 1] = tuple(outcomes)
+    return tuple(entries), tuple(branch)
 
 
-def _oc_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Cached (entries, F, f) for the randomized-insertion recipe, entries as
-    in _slice_data."""
-    slices = spec._tables.slices
-    hit = slices.get((nu_bar, lam))
-    if hit is not None:
-        return hit
+def _insertion_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
+    """Slice data of the randomized insertion (the t = 0 long-range recipe):
+    index j jumps at rate a_k (1 - F_j) F_{j+1} ... F_k, and a move of lower
+    particle j pushes j with probability f_j, else the first target m < j
+    with probability (1 - F_m) F_{m+1} ... F_{j-1} (1 - f_j)."""
     ctx = SliceContext(nu_bar, lam, spec.params)
     F = [float(v) for v in _F_values(ctx)]
-    f = [float(f_quant(ctx, i)) for i in range(1, k + 1)]
     a_k = float(spec.a[k - 1])
     entries = []
     for j in range(1, k + 1):
@@ -285,19 +277,36 @@ def _oc_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
             rate *= F[rr - 1]
         if rate:
             entries.append((k, j, a_k * rate))
-    data = (tuple(entries), F, f)
-    slices[(nu_bar, lam)] = data
-    return data
+    branch = []
+    for j in range(1, k):
+        fj = float(f_quant(ctx, j))
+        probs = [fj]  # of the targets j, j - 1, ..., 1
+        for target in range(j - 1, 0, -1):
+            p = (1 - F[target - 1]) * (1 - fj)
+            for rr in range(target + 1, j):
+                p *= F[rr - 1]
+            probs.append(p)
+        sums = list(accumulate(probs))
+        if min(probs) < -_PROB_TOL or not abs(sums[-1] - 1) <= _PROB_TOL:
+            raise InvariantViolation(
+                f"randomized insertion probabilities {probs} at level {k}, index {j} "
+                f"are not a distribution"
+            )
+        outcomes = [
+            (th, target, "long_push")
+            for th, p, target in zip(sums, probs, range(j, 0, -1))
+            if p > 0
+        ]
+        outcomes[-1] = (1.0, outcomes[-1][1], "long_push")  # the last takes every u
+        branch.append(tuple(outcomes))
+    return tuple(entries), tuple(branch)
 
 
 def _level_entries(spec: DynamicsSpec, rows, k: int) -> tuple:
     """Level k's (k, index, rate) entries, in index order, for the current state."""
     if k == 1:
         return ((1, 1, float(spec.a[0])),)
-    nu_bar, lam = tuple(rows[k - 2]), tuple(rows[k - 1])
-    if spec.recipe == "oconnell-pei":
-        return _oc_data(spec, k, nu_bar, lam)[0]
-    return _slice_data(spec, k, nu_bar, lam)[0]
+    return _slice_data(spec, k, tuple(rows[k - 2]), tuple(rows[k - 1]))[0]
 
 
 def jump_rates(spec: DynamicsSpec, rows: Sequence[Sequence[int]], k: int):
@@ -314,29 +323,11 @@ def propagate(spec: DynamicsSpec, rows, k: int, j: int, prev: int, rng):
     lam = rows[k - 1]
     if lam[j - 1] == prev:
         return j, "short_push"
-    nu_bar = tuple(rows[k - 2])
-    lam = tuple(lam)
-    if spec.recipe == "oconnell-pei":
-        _, F, f = _oc_data(spec, k, nu_bar, lam)
-        fi = f[j - 1]
-        u = rng.random()
-        if u < fi:
-            return j, "long_push"
-        u -= fi
-        for target in range(j - 1, 0, -1):
-            p = (1 - F[target - 1]) * (1 - fi)
-            for rr in range(target + 1, j):
-                p *= F[rr - 1]
-            if u < p:
-                return target, "long_push"
-            u -= p
-        raise InvariantViolation("randomized insertion probabilities do not sum to one")
-    c, r, target = _slice_data(spec, k, nu_bar, lam)[1][j - 1]
+    outcomes = _slice_data(spec, k, tuple(rows[k - 2]), tuple(lam))[1][j - 1]
     u = rng.random()
-    if u < r:
-        return target, ("long_push" if target == j else "donated")
-    if u < c:
-        return j + 1, "pull"
+    for threshold, target, cause in outcomes:
+        if u < threshold:
+            return target, cause
     return None
 
 

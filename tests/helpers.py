@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from macdyn import macdonald as md
 from macdyn.arrays import InterlacingArray, add_box, interlacing_predecessors
+from macdyn.classifier import F_quant, f_quant
 
 
 def reference_factor_product(num: Counter, den: Counter, q, t):
@@ -29,6 +30,31 @@ def reference_factor_product(num: Counter, den: Counter, q, t):
             raise ZeroDivisionError(f"vanishing denominator factor (1 - q^{a} t^{b})")
         result *= factor ** mult
     return result
+
+
+def insertion_push_probabilities(ctx, j: int) -> list:
+    """[(target, probability)] of the randomized insertion's push after lower
+    particle j moved on the slice ctx, in the order the loop below tries them."""
+    F = [float(F_quant(ctx, i)) for i in range(1, ctx.k + 2)]
+    fj = float(f_quant(ctx, j))
+    out = [(j, fj)]
+    for target in range(j - 1, 0, -1):
+        p = (1 - F[target - 1]) * (1 - fj)
+        for rr in range(target + 1, j):
+            p *= F[rr - 1]
+        out.append((target, p))
+    return out
+
+
+def insertion_push_target(ctx, j: int, u: float) -> int:
+    """The target of that push for the uniform u: the successive-subtraction
+    sampling loop that the simulator's per-slice branch lists replaced, kept
+    as their twin."""
+    for target, p in insertion_push_probabilities(ctx, j):
+        if u < p:
+            return target
+        u -= p
+    raise ValueError("randomized insertion probabilities do not sum to one")
 
 
 def with_move(arr: InterlacingArray, k: int, j: int) -> InterlacingArray:

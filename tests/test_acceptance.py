@@ -47,7 +47,7 @@ from macdyn.simulator import (
     leftmost_coordinates,
     rightmost_coordinates,
     run_ensemble,
-    trajectory_rng,
+    trajectory_rngs,
 )
 
 SCHUR_F = MacParams(F(0), F(0))
@@ -317,8 +317,7 @@ def test_criterion_09_tasep_marginals():
         run_ensemble(spec, 1.0, n, seed=(cfg.MASTER_SEED, 91), collect=leftmost_coordinates)
     )
     alone = Counter()
-    for i in range(n):
-        rng = trajectory_rng((cfg.MASTER_SEED, 92), i)
+    for rng in trajectory_rngs((cfg.MASTER_SEED, 92), n):
         line = QTasep(q=q, a=(1.0,) * 4)
         line.simulate(1.0, rng)
         alone[tuple(line.x[k] + (k + 1) for k in range(4))] += 1
@@ -328,8 +327,7 @@ def test_criterion_09_tasep_marginals():
         run_ensemble(specr, 1.0, n, seed=(cfg.MASTER_SEED, 93), collect=rightmost_coordinates)
     )
     alone = Counter()
-    for i in range(n):
-        rng = trajectory_rng((cfg.MASTER_SEED, 94), i)
+    for rng in trajectory_rngs((cfg.MASTER_SEED, 94), n):
         line = QPushTasep(q=q, a=(1.0,) * 4)
         line.simulate(1.0, rng)
         alone[tuple(line.x[k] - (k + 1) for k in range(4))] += 1

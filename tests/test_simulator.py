@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -22,7 +23,6 @@ from macdyn.simulator import (
     QTasep,
     _check_interlacing,
     _slice_data,
-    clear_caches,
     jump_rates,
     leftmost_coordinates,
     propagate,
@@ -32,6 +32,8 @@ from macdyn.simulator import (
     slice_solution,
     trajectory_rng,
 )
+
+from helpers import insertion_push_probabilities, insertion_push_target
 
 SCHUR = MacParams(0.0, 0.0)
 QW = MacParams(0.5, 0.0)
@@ -551,23 +553,21 @@ class TestStateTable:
     def test_warm_cold_and_full_tables_agree(self, q, t, n, monkeypatch):
         import macdyn.simulator as sim
 
-        specs = _every_recipe(MacParams(q, t), n)
-
-        def outcomes(seeds):
+        def outcomes(specs, seeds):
             return {
                 (i, seed): _outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(seed, 5)))
                 for seed in seeds
                 for i, spec in enumerate(specs)
             }
 
-        clear_caches()
-        cold = outcomes((0, 1))
+        specs = _every_recipe(MacParams(q, t), n)  # fresh specs own cold tables
+        cold = outcomes(specs, (0, 1))
         built = [spec._tables.misses for spec in specs]
-        warm = outcomes((1, 0))  # every state now comes from the table
+        warm = outcomes(specs, (1, 0))  # every state now comes from the table
         assert [spec._tables.misses for spec in specs] == built
-        clear_caches()
+        specs = _every_recipe(MacParams(q, t), n)
         monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 3)
-        full = outcomes((0, 1))
+        full = outcomes(specs, (0, 1))
         assert all(len(spec._tables.states) <= 3 for spec in specs)
         assert any(spec._tables.refused for spec in specs)
         assert cold == warm == full
@@ -580,11 +580,7 @@ class TestStateTable:
             return [_outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(29, i))) for i in range(20)]
 
         drifts = ((1.0, 2.0, 0.5), (1.0, 1.0, 1.0), (F(1), F(2), F(1, 2)))
-        fresh = []
-        for a in drifts:
-            clear_caches()
-            fresh.append(logs(make(a)))
-        clear_caches()
+        fresh = [logs(make(a)) for a in drifts]
         specs = [make(a) for a in drifts]
         assert [logs(spec) for spec in specs] == fresh
         assert len({id(spec._tables) for spec in specs}) == 3
@@ -605,15 +601,46 @@ class TestStateTable:
     def test_table_stays_within_its_bound(self, monkeypatch):
         import macdyn.simulator as sim
 
-        spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="qrow")
-        clear_caches()
-        want = run_ensemble(spec, 2.0, 1500, seed=37)
-        clear_caches()
+        def make():
+            return DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="qrow")
+
+        want = run_ensemble(make(), 2.0, 1500, seed=37)
+        spec = make()
         monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 40)
         assert run_ensemble(spec, 2.0, 1500, seed=37) == want
         tables = spec._tables
         assert len(tables.states) == 40
         assert tables.refused == tables.misses - 40 > 0
+
+    def test_slice_table_stays_within_its_bound(self, monkeypatch):
+        import macdyn.simulator as sim
+
+        def make():
+            return DynamicsSpec(params=MacParams(0.5, 0.3), a=(1.0, 0.8, 1.2, 0.9), depth=4,
+                                recipe="pb")
+
+        unbounded = make()
+        want = run_ensemble(unbounded, 2.0, 400, seed=41)
+        assert len(unbounded._tables.slices) > 30
+        spec = make()
+        monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 30)
+        assert run_ensemble(spec, 2.0, 400, seed=41) == want
+        assert len(spec._tables.slices) <= 30
+
+    def test_dropping_the_spec_frees_its_tables(self):
+        import weakref
+
+        import macdyn.simulator as sim
+
+        spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="pb")
+        run_ensemble(spec, 2.0, 50, seed=43)
+        assert spec._tables.states
+        owner, tables = weakref.ref(spec), id(spec._tables)
+        del spec
+        gc.collect()
+        assert owner() is None
+        live = [id(obj) for obj in gc.get_objects() if type(obj) is sim._DynamicsTables]
+        assert tables not in live
 
     def test_callable_weights_take_the_miss_path(self):
         comps = (
@@ -633,6 +660,18 @@ class TestStateTable:
             assert _outcome(lambda: simulate(per_slice, 3.0, seed=seed)) == want
 
 
+def _branch_c_r(branch, pushers):
+    """(c, r) of a nearest-neighbor slice, rebuilt from its branch list: the
+    push outcome's threshold is r_j, the pull outcome's is c_j, and a left-out
+    outcome has probability zero."""
+    c, r = {}, {}
+    for j in pushers:
+        thresholds = {cause: th for th, _, cause in branch[j - 1]}
+        r[j] = thresholds.get("long_push", thresholds.get("donated", 0.0))
+        c[j] = thresholds.get("pull", r[j])
+    return c, r
+
+
 class TestSliceCacheKey:
     def test_mixings_with_equal_weights_keep_their_own_slices(self):
         params = MacParams(0.5, 0.0)
@@ -640,14 +679,13 @@ class TestSliceCacheKey:
         def make(recipe, h=None, **kw):
             return DynamicsSpec(params=params, a=(1.0,) * 3, depth=3, recipe=recipe, h=h, **kw)
 
-        clear_caches()
         for other in (make("rsk", (1, 1, 1)), make("r", (1, 1))):
             spec = make("mixing", components=(make("pb"), other), weights=(0.5, 0.5))
             for nb, lam in iter_slices(3, 4):
                 entries, branch = _slice_data(spec, 3, nb, lam)  # a_3 = 1
                 w_items = tuple((m, v) for _, m, v in entries)
-                c = {j: b[0] for j, b in enumerate(branch, 1) if b is not None}
-                r = {j: b[1] for j, b in enumerate(branch, 1) if b is not None}
+                pushers = SliceContext(nb, lam, params).pushers
+                c, r = _branch_c_r(branch, pushers)
                 sol = slice_solution(spec, 3, nb, lam)
                 assert w_items == tuple((m, float(v)) for m, v in sorted(sol.w.items()) if v > 0)
                 assert c == {j: float(v) for j, v in sol.c.items()}, (nb, lam)
@@ -658,11 +696,43 @@ class TestSliceCacheKey:
             spec = DynamicsSpec(params=MacParams(q, t), a=(1.0,) * 4, depth=4, recipe="pb")
             return [_outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(23, i))) for i in range(50)]
 
-        clear_caches()
         fresh = logs(0.5, 0.25)
-        clear_caches()
         logs(F(1, 2), F(1, 4))
         assert logs(0.5, 0.25) == fresh
+
+
+class TestInsertionBranch:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.8])
+    def test_propagate_matches_the_sampling_loop(self, q):
+        spec = DynamicsSpec(params=MacParams(q, 0.0), a=(1.0,) * 5, depth=5,
+                            recipe="oconnell-pei")
+        draws = 0
+        for k in range(2, 6):
+            for nb, lam in iter_slices(k, 4):
+                ctx = SliceContext(nb, lam, spec.params)
+                rows = [None] * (k - 2) + [nb, lam]
+                for j in range(1, k):
+                    start = 0.0
+                    for target, p in insertion_push_probabilities(ctx, j):
+                        if p <= 0:
+                            continue
+                        u = start + p / 2  # the midpoint of this outcome's interval
+                        start += p
+                        assert insertion_push_target(ctx, j, u) == target
+                        got = propagate(spec, rows, k, j, nb[j - 1] - 1, _ScriptedRng([u]))
+                        assert got == (target, "long_push"), (nb, lam, j, u)
+                        draws += 1
+        assert draws > 2000
+
+    @pytest.mark.parametrize("wrong", [lambda f: 2 * f, lambda f: math.nan])
+    def test_wrong_f_fails_the_slice_build(self, wrong, monkeypatch):
+        import macdyn.simulator as sim
+
+        right = sim.f_quant
+        monkeypatch.setattr(sim, "f_quant", lambda ctx, i: wrong(right(ctx, i)))
+        spec = DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="oconnell-pei")
+        with pytest.raises(InvariantViolation, match="randomized insertion probabilities"):
+            _slice_data(spec, 3, (2, 1), (3, 1, 0))
 
 
 class TestNonZeroInitial:

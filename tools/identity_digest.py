@@ -12,10 +12,11 @@ same script can digest any checkout.  The grid:
   points (1/2, 1/3), (1/2, 0), (1/3, 1/9): S_j and T_i at every index, every
   fundamental solution, its `check_system` result, `solve_r` on its (w, c)
   and its `decompose` result on every basis;
-- fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion and a
-  constant-weight mixing, at N = 4 and four parameter points, hashed three
-  times: from empty simulator caches, again on the caches the first pass
-  filled, and again after `simulator.clear_caches()`;
+- fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion, a
+  constant-weight mixing and (at the t = 0 points) oconnell-pei, at N = 4
+  and four parameter points, hashed three times: on fresh specs, whose
+  tables start empty, again on the same specs with the tables the first
+  pass filled, and again on newly built specs;
 - `macdyn classify` and `macdyn simulate` output bytes for a few inputs.
 
 `--dump` writes every hashed line, for diffing two trees whose digests
@@ -85,8 +86,10 @@ def slice_lines(cl, MacParams):
                         yield f"{head} {kind} {basis} {dec}"
 
 
-def simulate_lines(sim, MacParams):
+def simulate_specs(sim, MacParams):
+    """[(point, name, spec)] of the simulate grid, as newly built specs."""
     n = SIM_DEPTH
+    out = []
     for point in SIM_POINTS:
         params = MacParams(*point)
         a = tuple(1.0 + 0.25 * i for i in range(n))
@@ -102,15 +105,22 @@ def simulate_lines(sim, MacParams):
             "mixing": spec("mixing", components=(spec("pb"), spec("rsk", h=(1, 1, 1, 1))),
                            weights=(0.5, 0.5)),
         }
-        for name, dyn in specs.items():
-            for seed in SIM_SEEDS:
-                out = attempt(sim.simulate, dyn, 2.0, seed)
-                if isinstance(out, str):
-                    yield f"{enc(point)} {name} {seed} {out}"
-                    continue
-                final, events = out
-                log = ";".join(f"{ev.time.hex()}{ev.cascade}" for ev in events)
-                yield f"{enc(point)} {name} {seed} {final.to_text()} {log}"
+        if params.t == 0:
+            specs["oconnell-pei"] = spec("oconnell-pei")
+        out += [(point, name, dyn) for name, dyn in specs.items()]
+    return out
+
+
+def simulate_lines(sim, specs):
+    for point, name, dyn in specs:
+        for seed in SIM_SEEDS:
+            out = attempt(sim.simulate, dyn, 2.0, seed)
+            if isinstance(out, str):
+                yield f"{enc(point)} {name} {seed} {out}"
+                continue
+            final, events = out
+            log = ";".join(f"{ev.time.hex()}{ev.cascade}" for ev in events)
+            yield f"{enc(point)} {name} {seed} {final.to_text()} {log}"
 
 
 CLI_RUNS = (
@@ -130,13 +140,9 @@ CLI_RUNS = (
      "--a", "1,1.5,1,2,1", "--tau", "2", "--samples", "4", "--seed", "11"],
     ["simulate", "--dynamics", "rsk", "--h", "1,2,1,3", "--N", "4", "--q", "0",
      "--t", "0", "--a", "1,1,1,1", "--tau", "2", "--samples", "4", "--seed", "11"],
+    ["simulate", "--dynamics", "oconnell-pei", "--N", "5", "--q", "0.5", "--t", "0",
+     "--a", "1,1.5,1,2,1", "--tau", "2", "--samples", "4", "--seed", "11"],
 )
-
-
-def after(step, lines):
-    """Run step(), then yield from lines."""
-    step()
-    yield from lines
 
 
 def cli_lines(cli):
@@ -163,11 +169,12 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     counts = {}
     dump = args.dump.open("w", encoding="utf-8") if args.dump else None
+    specs = simulate_specs(sim, MacParams)
     for part, lines in (
         ("slices", slice_lines(cl, MacParams)),
-        ("simulate", simulate_lines(sim, MacParams)),
-        ("simulate-warm", simulate_lines(sim, MacParams)),
-        ("simulate-cleared", after(sim.clear_caches, simulate_lines(sim, MacParams))),
+        ("simulate", simulate_lines(sim, specs)),
+        ("simulate-warm", simulate_lines(sim, specs)),
+        ("simulate-fresh", simulate_lines(sim, simulate_specs(sim, MacParams))),
         ("cli", cli_lines(cli)),
     ):
         for line in lines:
