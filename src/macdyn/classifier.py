@@ -26,7 +26,6 @@ i + 1 is free.  `fundamental`, `solve_r`, `solve_w`, `check_system` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -45,6 +44,23 @@ from .macdonald import MacParams, factor_product, net_exponents
 _REL_TOL = 1e-9
 
 
+class _cached:
+    """functools.cached_property without its lock: the first access computes
+    the value and stores it in the instance dict, where later accesses find
+    it without calling the descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SliceContext:
     """A slice (nu_bar < lam) together with the deformation parameters."""
@@ -58,25 +74,21 @@ class SliceContext:
         object.__setattr__(self, "lam", check_signature(self.lam))
         if not interlaces(self.nu_bar, self.lam):
             raise InvalidInput(f"rows do not interlace: {self.nu_bar} vs {self.lam}")
+        free = free_indices(self.nu_bar, self.lam)
+        object.__setattr__(self, "free", free)
+        # pushers: the indices j with j+1 free, the lower particles whose
+        # move can propagate
+        object.__setattr__(self, "pushers", tuple(m - 1 for m in free if m >= 2))
 
     @property
     def k(self) -> int:
         return len(self.lam)
 
-    @cached_property
-    def free(self) -> tuple[int, ...]:
-        return free_indices(self.nu_bar, self.lam)
-
     @property
     def kappa(self) -> int:
         return len(self.free)
 
-    @cached_property
-    def pushers(self) -> tuple[int, ...]:
-        """Indices j with j+1 free: the lower particles whose move can propagate."""
-        return tuple(m - 1 for m in self.free if m >= 2)
-
-    @cached_property
+    @_cached
     def S(self) -> tuple:
         """(S_1, ..., S_k); S_j is evaluated at free j only, blocked j give 0."""
         out = [0 * self.params.one()] * self.k
@@ -84,7 +96,7 @@ class SliceContext:
             out[m - 1] = S_quant(self, m)
         return tuple(out)
 
-    @cached_property
+    @_cached
     def T(self) -> tuple:
         """(T_1, ..., T_k); T_i is evaluated at pushers only, the others give 0."""
         out = [0 * self.params.one()] * self.k

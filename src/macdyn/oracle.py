@@ -18,13 +18,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from scipy.stats import chi2 as _chi2
-
 from . import classifier as _cl
 from . import macdonald as _md
 from .arrays import InterlacingArray, Signature, interlaces, interlacing_predecessors
 from .errors import Infeasible, InvalidInput
 from .macdonald import MacParams
+
+
+def _chi2_sf(stat: float, dof: int) -> float:
+    """The chi-square survival function.  scipy is imported on first use:
+    importing scipy.stats costs about 70 MB of memory, which the package
+    pays only when a statistical test runs."""
+    from scipy.stats import chi2
+
+    return float(chi2.sf(stat, dof))
 
 
 # --- exact transient distribution ----------------------------------------------
@@ -313,7 +320,7 @@ def compare_distributions(
         "tv": tv,
         "chi2": stat,
         "dof": dof,
-        "pvalue": float(_chi2.sf(stat, dof)),
+        "pvalue": _chi2_sf(stat, dof),
         "coverage": mass,
     }
 
@@ -347,7 +354,7 @@ def two_sample_chi_square(first: Counter, second: Counter, min_expected: float =
         p = (o1 + o2) / (n1 + n2)
         stat += (o1 - n1 * p) ** 2 / (n1 * p) + (o2 - n2 * p) ** 2 / (n2 * p)
     dof = len(cells) - 1
-    return {"chi2": stat, "dof": dof, "pvalue": float(_chi2.sf(stat, dof)), "cells": len(cells)}
+    return {"chi2": stat, "dof": dof, "pvalue": _chi2_sf(stat, dof), "cells": len(cells)}
 
 
 def gibbs_check(
@@ -405,7 +412,7 @@ def gibbs_check(
     return {
         "chi2": stat,
         "dof": dof,
-        "pvalue": float(_chi2.sf(stat, dof)),
+        "pvalue": _chi2_sf(stat, dof),
         "tops": used,
         "vacuous": False,
     }

@@ -2,25 +2,37 @@
 interlacing arrays, plus the standalone one-dimensional particle systems.
 
 The Gillespie loop (Gillespie's direct method) works on nodes: a node is a
-state's jump rates, one tuple of (level, index, rate) entries per level, and
-their total.  Each DynamicsSpec owns its tables, made on first use and freed
-with the spec: a slice table of per-slice rates and cascade outcomes, and a
-state table that maps every visited array (the flat tuple of its
-coordinates) to its node, shared across trajectories.  Each holds at most
-_STATE_TABLE_SIZE entries.
+visited array's jump rates, (level, index, rate) entries in level and index
+order, their total, and links to its successors.  Each DynamicsSpec owns its
+tables, made on first use and freed with the spec: a slice table of
+per-slice rates and cascade outcomes, and a state table that gives every
+visited array (the flat tuple of its coordinates) an integer id and keeps
+its node, shared across trajectories.  Each holds at most _STATE_TABLE_SIZE
+entries.
 
-- Hit: the state after an event is in the table, and the loop takes its node
-  as it is: no rate is rebuilt and no interlacing is checked.
-- Miss: an event whose cascade moved rows k..K changes only the slices at
-  levels k..K+1, so only those row pairs are checked for interlacing and only
-  those levels are rebuilt (level 1's rate is constant; the dependency-graph
-  idea of Gibson and Bruck's next-reaction method).  The new node then
-  enters the table if the table has room.
+An event draws its time and the uniform that selects a jump entry, then
+follows that entry's link.
+
+- Hit: the link is compiled.  At each branch point, a propagation step that
+  samples one of the slice's outcome lists, the walk draws one uniform,
+  exactly where propagate would, and takes the child of the outcome it
+  selects; the leaf gives the successor's id and the cascade.  No row is
+  touched, no tuple built and no state hashed.
+- Miss: the walk reaches an empty slot.  The slow path replays the uniforms
+  already drawn: it applies the jump to the rows, runs the rest of the
+  cascade through propagate and looks the new array up by its coordinates.
+  A cascade that moved rows k..K changes only the slices at levels k..K+1,
+  so a new array has only those row pairs checked for interlacing and only
+  those levels rebuilt (level 1's rate is constant; the dependency-graph idea
+  of Gibson and Bruck's next-reaction method).  It enters the table if there
+  is room, and the event's path is grafted into the links if its successor
+  is in the table.
 
 A state enters the table only after its touched row pairs passed the check,
 and the state before the event interlaced, so every state in the table
-interlaces.  A node's total and the selection walk add the rates level by
-level in index order, so every run is bit-identical to rebuilding all
+interlaces, and so does every state a link leads to.  A node's total and the
+selection walk add the rates in the same order, and a link draws the same
+uniforms as propagate, so every run is bit-identical to rebuilding all
 levels and checking every row pair after every event.  Specs whose slice
 weights are a callable have no tables and take the miss path on every event.
 A cascade is applied strictly bottom-up.  Each propagation step samples one
@@ -34,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -190,17 +201,21 @@ _STATE_TABLE_SIZE = 1 << 15  # entries per table; later ones are recomputed on u
 class _DynamicsTables:
     """The caches of one dynamics, owned by its spec.
 
-    slices maps (nu_bar, lam) to the slice data of _slice_data; states maps
-    a visited array, as the flat tuple of its coordinates, to its node
-    (per-level entry tuples, total rate).  Each holds at most
-    _STATE_TABLE_SIZE entries.  misses counts the nodes built by simulate,
-    refused those left out because states was full."""
+    slices maps (nu_bar, lam) to the slice data of _slice_data; ids maps a
+    visited array, as the flat tuple of its coordinates, to its node id, and
+    nodes[id] is its _Node.  Each table holds at most _STATE_TABLE_SIZE
+    entries.  interned holds one copy of each cascade that a link stores
+    and of each row of a final array, within the same bound.  misses counts
+    the nodes built by simulate, refused those left out because the table
+    was full."""
 
-    __slots__ = ("slices", "states", "misses", "refused")
+    __slots__ = ("slices", "ids", "nodes", "interned", "misses", "refused")
 
     def __init__(self):
         self.slices: dict = {}
-        self.states: dict = {}
+        self.ids: dict = {}
+        self.nodes: list = []
+        self.interned: dict = {}
         self.misses = 0
         self.refused = 0
 
@@ -374,38 +389,169 @@ def trajectory_rng(seed, index: int = 0) -> np.random.Generator:
 def trajectory_rngs(seed, count: int) -> Iterator[np.random.Generator]:
     """The streams ``trajectory_rng(seed, i)`` for i = 0..count-1, in order.
 
-    One Generator is rewound to each stream in turn, which costs far less
-    than building a fresh Philox per trajectory; each stream is valid until
-    the next one is drawn."""
+    One Generator is rewound to each stream in turn by setting its Philox
+    counter to i * 2**128 (the state ``advance(i << 128)`` reaches from
+    zero), which costs far less than building a fresh Philox per
+    trajectory; each stream is valid until the next one is drawn."""
     rng = trajectory_rng(seed)
     bits = rng.bit_generator
-    start = bits.state
+    state = bits.state
+    counter = state["state"]["counter"] = [0, 0, 0, 0]
     for i in range(count):
-        bits.state = start
-        bits.advance(i << 128)
+        counter[2] = i & 0xFFFF_FFFF_FFFF_FFFF
+        counter[3] = i >> 64
+        bits.state = state
         yield rng
 
 
-def _node(levels: tuple) -> tuple:
-    """(levels, total rate), the total added level by level in index order."""
-    total = 0.0
-    for entries in levels:
+class _Node:
+    """A visited array.
+
+    levels[k - 1] holds level k's (k, index, rate) entries in index order;
+    entries is the same entries as one flat tuple and total their sum, added
+    left to right.  key is the flat tuple of the array's coordinates and
+    final its InterlacingArray, made on first use.  links[i] holds what is
+    known of the cascades that follow entry i's jump: None (not compiled
+    yet), a leaf (successor id, cascade), or a branch point [outcomes,
+    child, ..., child, stop child] where propagate draws a uniform: the
+    slice's outcome list, one child per outcome and one for no move.  Links
+    hold ids, never nodes, so the nodes form no reference cycles."""
+
+    __slots__ = ("levels", "entries", "total", "key", "links", "final")
+
+    def __init__(self, levels: tuple, key: tuple):
+        self.levels = levels
+        self.entries = entries = tuple(chain.from_iterable(levels))
+        total = 0.0
         for _, _, rate in entries:
             total += rate
-    return levels, total
+        self.total = total
+        self.key = key
+        self.links = [None] * len(entries)
+        self.final = None
 
 
-def _store(tables: _DynamicsTables | None, key: tuple, node: tuple) -> None:
+def _store(tables: _DynamicsTables | None, node: _Node) -> int | None:
+    """Enter a newly built node in the table; returns its id, or None when
+    it is left out."""
     if tables is None:
-        return
+        return None
     tables.misses += 1
-    if len(tables.states) < _STATE_TABLE_SIZE:
-        tables.states[key] = node
+    nodes = tables.nodes
+    if len(nodes) < _STATE_TABLE_SIZE:
+        nid = tables.ids[node.key] = len(nodes)
+        nodes.append(node)
+        return nid
+    tables.refused += 1
+    return None
+
+
+def _rows(key: tuple, n: int) -> list:
+    """The rows, as tuples, of the depth-n array whose flat coordinates are key."""
+    rows, start = [], 0
+    for k in range(1, n + 1):
+        rows.append(key[start:start + k])
+        start += k
+    return rows
+
+
+def _intern(tables: _DynamicsTables | None, value: tuple) -> tuple:
+    """The tables' copy of value, which is entered while there is room."""
+    if tables is None:
+        return value
+    interned = tables.interned
+    if len(interned) < _STATE_TABLE_SIZE:
+        return interned.setdefault(value, value)
+    return interned.get(value, value)
+
+
+class _Replay:
+    """The rng that propagate sees on the miss path: it hands out the
+    uniforms that the link walk already drew, in order, then fresh draws,
+    and keeps every uniform in drawn."""
+
+    __slots__ = ("rng", "drawn", "used")
+
+    def __init__(self, rng, drawn: list):
+        self.rng = rng
+        self.drawn = drawn
+        self.used = 0
+
+    def random(self) -> float:
+        used = self.used
+        self.used = used + 1
+        if used < len(self.drawn):
+            return self.drawn[used]
+        u = self.rng.random()
+        self.drawn.append(u)
+        return u
+
+
+def _child(outcomes: tuple, u: float) -> int:
+    """The child of a branch point that the uniform u selects: the first
+    outcome with u < threshold (children 1..), else the stop child."""
+    b = 1
+    for threshold, _, _ in outcomes:
+        if u < threshold:
+            break
+        b += 1
+    return b
+
+
+def _miss(spec: DynamicsSpec, tables, node: _Node, rows: list, i: int, drawn: list, rng):
+    """The slow path of one event out of node, whose array rows holds.
+
+    It applies entry i's jump, replays the uniforms that the link walk drew
+    and runs the rest of the cascade through propagate.  A successor missing
+    from the table is checked for interlacing and built from node's levels,
+    rebuilding only the levels the cascade touched.  rows is left holding
+    the successor.  When the successor is in the table, the path of the
+    event is grafted into node's links.  Returns (successor, cascade)."""
+    n = len(rows)
+    k, m, _ = node.entries[i]
+    replay = _Replay(rng, drawn)
+    slices = None if tables is None else tables.slices
+    branches = []  # the outcome list of every step at which propagate drew
+    cascade = [(k, m, "jump")]
+    prev = rows[k - 1][m - 1]
+    rows[k - 1][m - 1] += 1
+    j = m
+    for lvl in range(k + 1, n + 1):
+        lam = rows[lvl - 1]
+        used = replay.used
+        res = propagate(spec, rows, lvl, j, prev, replay)
+        if replay.used != used and slices is not None:
+            data = slices.get((tuple(rows[lvl - 2]), tuple(lam)))
+            branches.append(None if data is None else data[1][j - 1])
+        if res is None:
+            break
+        target, cause = res
+        prev = lam[target - 1]
+        lam[target - 1] += 1
+        cascade.append((lvl, target, cause))
+        j = target
+    cascade = tuple(cascade)
+    key = tuple(chain.from_iterable(rows))
+    nid = None if tables is None else tables.ids.get(key)
+    if nid is None:
+        _check_interlacing(rows, cascade)
+        levels = list(node.levels)
+        for lvl in range(max(k, 2), min(cascade[-1][0] + 1, n) + 1):  # level 1 is constant
+            levels[lvl - 1] = _level_entries(spec, rows, lvl)
+        succ = _Node(tuple(levels), key)
+        nid = _store(tables, succ)
     else:
-        tables.refused += 1
-
-
-_NO_STATES = MappingProxyType({})  # the state table of specs that have none
+        succ = tables.nodes[nid]
+    if nid is not None and None not in branches:
+        cascade = _intern(tables, cascade)
+        holder, slot = node.links, i
+        for outcomes, u in zip(branches, replay.drawn):
+            point = holder[slot]
+            if point is None:
+                point = holder[slot] = [outcomes] + [None] * (len(outcomes) + 1)
+            holder, slot = point, _child(outcomes, u)
+        holder[slot] = (nid, cascade)
+    return succ, cascade
 
 
 def simulate(
@@ -427,62 +573,54 @@ def simulate(
     if rng is None:
         rng = trajectory_rng(seed)
     tables = spec._tables
-    states = _NO_STATES if tables is None else tables.states
-    rows = [list(r) for r in initial.levels]
-    key = tuple(chain.from_iterable(rows))
-    node = states.get(key)
-    if node is None:  # the initial array was validated on construction
-        node = _node(tuple(_level_entries(spec, rows, k) for k in range(1, n + 1)))
-        _store(tables, key, node)
-    # levels[k - 1] holds level k's (k, index, rate) entries in index order
-    levels, total = node
+    nodes = None if tables is None else tables.nodes
+    key = tuple(chain.from_iterable(initial.levels))
+    nid = None if tables is None else tables.ids.get(key)
+    rows = None  # the current array as lists while on the miss path, else None
+    if nid is None:  # the initial array was validated on construction
+        rows = [list(r) for r in initial.levels]
+        node = _Node(tuple(_level_entries(spec, rows, k) for k in range(1, n + 1)), key)
+        _store(tables, node)
+    else:
+        node = nodes[nid]
     t = 0.0
     events: list[Event] = []
     while True:
+        total = node.total
         if total <= 0:
             break
         t += rng.exponential(1.0 / total)
         if t > tau:
             break
         u = rng.random() * total
-        for entries in levels:
-            for entry in entries:
-                u -= entry[2]
-                if u <= 0:
-                    break
-            else:
-                continue
-            break
-        k, m, _ = entry  # the last entry when rounding leaves u > 0
-        cascade = [(k, m, "jump")]
-        prev = rows[k - 1][m - 1]
-        rows[k - 1][m - 1] += 1
-        j = m
-        for lvl in range(k + 1, n + 1):
-            res = propagate(spec, rows, lvl, j, prev, rng)
-            if res is None:
-                break
-            target, cause = res
-            prev = rows[lvl - 1][target - 1]
-            rows[lvl - 1][target - 1] += 1
-            cascade.append((lvl, target, cause))
-            j = target
-        key = tuple(chain.from_iterable(rows))
-        node = states.get(key)
-        if node is None:
-            _check_interlacing(rows, cascade)
-            fresh = list(levels)
-            for lvl in range(max(k, 2), min(cascade[-1][0] + 1, n) + 1):  # level 1 is constant
-                fresh[lvl - 1] = _level_entries(spec, rows, lvl)
-            node = _node(tuple(fresh))
-            _store(tables, key, node)
-        levels, total = node
+        for i, entry in enumerate(node.entries):
+            u -= entry[2]
+            if u <= 0:
+                break  # else i is the last entry: rounding left u > 0
+        link = node.links[i]
+        drawn = []
+        while link.__class__ is list:  # a branch point: one uniform, as propagate draws it
+            v = rng.random()
+            drawn.append(v)
+            link = link[_child(link[0], v)]
+        if link is None:
+            if rows is None:
+                rows = list(map(list, _rows(node.key, n)))
+            node, cascade = _miss(spec, tables, node, rows, i, drawn, rng)
+        else:
+            nid, cascade = link
+            node = nodes[nid]
+            rows = None
         if log_events:
-            events.append(Event(time=t, cascade=tuple(cascade)))
+            events.append(Event(time=t, cascade=cascade))
     # the initial array was validated and every state reached interlaces (a
-    # table hit, or a miss whose touched row pairs passed the check), so the
-    # final rows need no second validation
-    return InterlacingArray.trusted(tuple(tuple(r) for r in rows)), events
+    # state in the table, or a miss whose touched row pairs passed the
+    # check), so the final rows need no second validation
+    final = node.final
+    if final is None:
+        rows = tuple(_intern(tables, row) for row in _rows(node.key, n))
+        final = node.final = InterlacingArray.trusted(rows)
+    return final, events
 
 
 def run_ensemble(

@@ -171,3 +171,18 @@ class TestGibbs:
     def test_level_one_vacuous(self):
         stats = gibbs_check([((), (n,)) for n in range(2000)], (F(1),), SCHUR, min_count=1)
         assert stats["vacuous"] and stats["pvalue"] == 1.0
+
+
+def test_importing_the_package_leaves_scipy_out():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import macdyn
+
+    src = str(Path(macdyn.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import macdyn, macdyn.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -31,6 +31,7 @@ from macdyn.simulator import (
     simulate,
     slice_solution,
     trajectory_rng,
+    trajectory_rngs,
 )
 
 from helpers import insertion_push_probabilities, insertion_push_target
@@ -444,6 +445,12 @@ class TestIncrementalEngine:
             ref = np.random.Generator(np.random.Philox(key=(5, 9)).jumped(i))
             assert trajectory_rng((5, 9), i).random(8).tolist() == ref.random(8).tolist()
 
+    @pytest.mark.parametrize("seed", [29, (2**63 + 5, 2**62 + 7)])
+    def test_trajectory_rngs_are_the_indexed_streams(self, seed):
+        streams = {i: rng.random(6).tolist() for i, rng in enumerate(trajectory_rngs(seed, 1000))}
+        for i in (0, 1, 2, 999):
+            assert streams[i] == trajectory_rng(seed, i).random(6).tolist()
+
     def test_broken_interlacing_names_rows_and_cascade(self):
         rows = [[2], [1, 0], [3, 1, 0]]
         with pytest.raises(
@@ -565,12 +572,40 @@ class TestStateTable:
         built = [spec._tables.misses for spec in specs]
         warm = outcomes(specs, (1, 0))  # every state now comes from the table
         assert [spec._tables.misses for spec in specs] == built
+        # the same streams again: every event of a run that did not raise
+        # follows the links its first pass compiled, without propagate
+        calls, propagate = Counter(), sim.propagate
+
+        def counted(spec, *args):
+            calls[id(spec)] += 1
+            return propagate(spec, *args)
+
+        monkeypatch.setattr(sim, "propagate", counted)
+        replayed = outcomes(specs, (0, 1))
+        monkeypatch.undo()
+        for i, spec in enumerate(specs):
+            if all(type(cold[i, seed][1]) is list for seed in (0, 1)):
+                assert calls[id(spec)] == 0, (spec.recipe, spec.h)
         specs = _every_recipe(MacParams(q, t), n)
         monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 3)
         full = outcomes(specs, (0, 1))
-        assert all(len(spec._tables.states) <= 3 for spec in specs)
+        assert all(len(spec._tables.ids) <= 3 for spec in specs)
         assert any(spec._tables.refused for spec in specs)
-        assert cold == warm == full
+        assert cold == warm == replayed == full
+
+    @pytest.mark.parametrize("q,t", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.3)])
+    def test_partly_compiled_links_match_the_full_rebuild(self, q, t):
+        # after a warm-up, new streams leave compiled links part way down,
+        # and the miss path must replay the uniforms the walk drew
+        for spec in _every_recipe(MacParams(q, t), 4):
+            try:
+                run_ensemble(spec, 3.0, 300, seed=59)
+            except (InvalidInput, InvariantViolation):
+                continue  # the recipe is not defined or not honest at this point
+            for i in range(30):
+                got = _outcome(lambda: simulate(spec, 3.0, rng=trajectory_rng(61, i)))
+                want = _outcome(lambda: _reference_simulate(spec, 3.0, trajectory_rng(61, i)))
+                assert got == want, (spec.recipe, spec.h, i)
 
     def test_specs_differing_only_in_a_share_no_nodes(self):
         def make(a):
@@ -584,7 +619,7 @@ class TestStateTable:
         specs = [make(a) for a in drifts]
         assert [logs(spec) for spec in specs] == fresh
         assert len({id(spec._tables) for spec in specs}) == 3
-        nodes = [{id(node) for node in spec._tables.states.values()} for spec in specs]
+        nodes = [{id(node) for node in spec._tables.nodes} for spec in specs]
         assert not (nodes[0] & nodes[1] or nodes[0] & nodes[2] or nodes[1] & nodes[2])
 
     def test_corrupted_cascade_raises_on_a_warm_table(self, monkeypatch):
@@ -592,10 +627,10 @@ class TestStateTable:
 
         spec = DynamicsSpec(params=SCHUR, a=(1.0,) * 3, depth=3, recipe="pb")
         run_ensemble(spec, 5.0, 200, seed=3)
-        assert len(spec._tables.states) > 50
+        assert len(spec._tables.ids) > 50
         monkeypatch.setattr(sim, "propagate", lambda spec, rows, k, j, prev, rng: (k, "pull"))
         with pytest.raises(InvariantViolation, match="interlacing broken") as info:
-            simulate(spec, 5.0, seed=3)
+            simulate(spec, 5.0, seed=4)  # a stream the warm-up did not compile
         assert info.traceback[-1].name == "_check_interlacing"
 
     def test_table_stays_within_its_bound(self, monkeypatch):
@@ -609,7 +644,7 @@ class TestStateTable:
         monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 40)
         assert run_ensemble(spec, 2.0, 1500, seed=37) == want
         tables = spec._tables
-        assert len(tables.states) == 40
+        assert len(tables.ids) == len(tables.nodes) == 40
         assert tables.refused == tables.misses - 40 > 0
 
     def test_slice_table_stays_within_its_bound(self, monkeypatch):
@@ -634,13 +669,55 @@ class TestStateTable:
 
         spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="pb")
         run_ensemble(spec, 2.0, 50, seed=43)
-        assert spec._tables.states
+        assert spec._tables.ids
         owner, tables = weakref.ref(spec), id(spec._tables)
         del spec
         gc.collect()
         assert owner() is None
         live = [id(obj) for obj in gc.get_objects() if type(obj) is sim._DynamicsTables]
         assert tables not in live
+
+    def test_a_dropped_spec_is_freed_without_the_collector(self):
+        import macdyn.simulator as sim
+
+        def live():
+            kinds = (sim._DynamicsTables, sim._Node)
+            return Counter(type(obj) for obj in gc.get_objects() if type(obj) in kinds)
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live()
+            spec = DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="rsk", h=(1, 1, 1))
+            run_ensemble(spec, 2.0, 200, seed=47)
+            assert any(link is not None for node in spec._tables.nodes for link in node.links)
+            assert live()[sim._Node] - before[sim._Node] == len(spec._tables.nodes)
+            del spec  # reference counting alone frees the spec, its tables and nodes
+            assert live() == before
+        finally:
+            gc.enable()
+
+    def test_links_lead_only_to_checked_states(self, monkeypatch):
+        import macdyn.simulator as sim
+
+        checked, check = set(), sim._check_interlacing
+
+        def recorded(rows, cascade):
+            check(rows, cascade)
+            checked.add(tuple(itertools.chain.from_iterable(rows)))
+
+        monkeypatch.setattr(sim, "_check_interlacing", recorded)
+        initial = InterlacingArray.zeros(3).levels
+        checked.add(tuple(itertools.chain.from_iterable(initial)))  # validated on construction
+        honest = ("pb", "qrow", "oconnell-pei", "oconnell-pei-nn", "mixing")
+        for spec in [spec for spec in _every_recipe(QW, 3) if spec.recipe in honest]:
+            run_ensemble(spec, 2.0, 100, seed=53)
+            tables = spec._tables
+            leaves = [leaf for node in tables.nodes for link in node.links
+                      for leaf in _leaves(link)]
+            assert leaves, spec.recipe
+            for nid, cascade in leaves:
+                assert tables.nodes[nid].key in checked, (spec.recipe, cascade)
 
     def test_callable_weights_take_the_miss_path(self):
         comps = (
@@ -658,6 +735,15 @@ class TestStateTable:
         for seed in range(5):
             want = _outcome(lambda: simulate(constant, 3.0, seed=seed))
             assert _outcome(lambda: simulate(per_slice, 3.0, seed=seed)) == want
+
+
+def _leaves(link):
+    """The (successor id, cascade) leaves of a link slot."""
+    if type(link) is tuple:
+        yield link
+    elif link is not None:
+        for child in link[1:]:
+            yield from _leaves(child)
 
 
 def _branch_c_r(branch, pushers):

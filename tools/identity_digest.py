@@ -17,6 +17,9 @@ same script can digest any checkout.  The grid:
   and four parameter points, hashed three times: on fresh specs, whose
   tables start empty, again on the same specs with the tables the first
   pass filled, and again on newly built specs;
+- the final arrays of a 300-trajectory `run_ensemble` for every spec of the
+  simulate grid, hashed on newly built specs and again on the same specs
+  with the tables the first pass filled;
 - `macdyn classify` and `macdyn simulate` output bytes for a few inputs.
 
 `--dump` writes every hashed line, for diffing two trees whose digests
@@ -39,6 +42,8 @@ LEVELS = {2: 4, 3: 4, 4: 4, 5: 3}  # level -> largest coordinate
 SIM_POINTS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.3), (F(1, 2), F(1, 3)))
 SIM_DEPTH = 4
 SIM_SEEDS = range(4)
+ENSEMBLE_SAMPLES = 300
+ENSEMBLE_SEED = 7
 
 
 def enc(value) -> str:
@@ -123,6 +128,14 @@ def simulate_lines(sim, specs):
             yield f"{enc(point)} {name} {seed} {final.to_text()} {log}"
 
 
+def ensemble_lines(sim, specs):
+    for point, name, dyn in specs:
+        out = attempt(sim.run_ensemble, dyn, 2.0, ENSEMBLE_SAMPLES, ENSEMBLE_SEED)
+        if not isinstance(out, str):
+            out = ";".join(final.to_text() for final in out)
+        yield f"{enc(point)} {name} {out}"
+
+
 CLI_RUNS = (
     ["classify", "--nu-bar", "1,4", "--lam", "0,3,5", "--q", "1/2", "--t", "1/3",
      "--basis", "r-l-pb"],
@@ -170,11 +183,14 @@ def main(argv=None) -> int:
     counts = {}
     dump = args.dump.open("w", encoding="utf-8") if args.dump else None
     specs = simulate_specs(sim, MacParams)
+    ensemble_specs = simulate_specs(sim, MacParams)
     for part, lines in (
         ("slices", slice_lines(cl, MacParams)),
         ("simulate", simulate_lines(sim, specs)),
         ("simulate-warm", simulate_lines(sim, specs)),
         ("simulate-fresh", simulate_lines(sim, simulate_specs(sim, MacParams))),
+        ("ensemble", ensemble_lines(sim, ensemble_specs)),
+        ("ensemble-warm", ensemble_lines(sim, ensemble_specs)),
         ("cli", cli_lines(cli)),
     ):
         for line in lines:
