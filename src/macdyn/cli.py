@@ -163,23 +163,14 @@ def _cmd_simulate(args) -> int:
     )
     initial = InterlacingArray.from_text(args.initial) if args.initial else None
     seed = _default_seed(args.seed)
+    log = not args.no_events
     lines = []
-    if args.no_events:
-        results = sim.run_ensemble(spec, args.tau, args.samples, seed, initial=initial)
-        for i, final in enumerate(results):
-            lines.append(_json_line({"trajectory": i, "final": final.to_text()}))
-    else:
-        for i, rng in enumerate(sim.trajectory_rngs(seed, args.samples)):
-            final, events = sim.simulate(spec, args.tau, initial=initial, rng=rng)
-            lines.append(
-                _json_line(
-                    {
-                        "trajectory": i,
-                        "final": final.to_text(),
-                        "events": [ev.to_json_dict() for ev in events],
-                    }
-                )
-            )
+    for i, rng in enumerate(sim.trajectory_rngs(seed, args.samples)):
+        final, events = sim.simulate(spec, args.tau, initial=initial, rng=rng, log_events=log)
+        record = {"trajectory": i, "final": final.to_text()}
+        if log:
+            record["events"] = [ev.to_json_dict() for ev in events]
+        lines.append(_json_line(record))
     _write(lines, args.out)
     return 0
 

@@ -23,7 +23,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .arrays import (
@@ -311,7 +311,6 @@ _P_TABLE_SIZE = 1 << 16  # a table this full is emptied before the next call
 
 def clear_caches() -> None:
     _P_CACHE.clear()
-    _dim_standard_cached.cache_clear()
 
 
 def _strip_zeros(lam: Signature) -> Signature:
@@ -540,25 +539,28 @@ def p_up_row(lam: Sequence[int], a: Sequence, beta, params: MacParams):
 
 # --- Schur / Plancherel closed forms ------------------------------------------
 
-@lru_cache(maxsize=None)
-def _dim_standard_cached(lam: Signature) -> int:
-    if not lam:
-        return 1
-    total = 0
-    for j in range(len(lam)):
-        below = lam[j + 1] if j + 1 < len(lam) else 0
-        if lam[j] > below:
-            lower = lam[:j] + (lam[j] - 1,) + lam[j + 1:]
-            total += _dim_standard_cached(_strip_zeros(lower))
-    return total
-
-
 def dim_standard(lam: Sequence[int]) -> int:
-    """Number of standard tableaux of the given (nonnegative) shape."""
+    """Number of standard tableaux of the given (nonnegative) shape: the sum
+    over its removable boxes of the count for the shape without that box,
+    memoized within the call."""
     lam = _strip_zeros(check_signature(lam))
     if lam and lam[-1] < 0:
         raise InvalidInput("standard tableaux need a partition shape")
-    return _dim_standard_cached(lam)
+    memo = {(): 1}
+
+    def count(shape: Signature) -> int:
+        total = memo.get(shape)
+        if total is None:
+            total = 0
+            for j in range(len(shape)):
+                below = shape[j + 1] if j + 1 < len(shape) else 0
+                if shape[j] > below:
+                    lower = shape[:j] + (shape[j] - 1,) + shape[j + 1:]
+                    total += count(_strip_zeros(lower))
+            memo[shape] = total
+        return total
+
+    return count(lam)
 
 
 def schur_plancherel_coefficient(lam: Sequence[int], a: Sequence):

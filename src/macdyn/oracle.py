@@ -10,7 +10,6 @@ Poisson(sum(a) tau) tail.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter, defaultdict
@@ -127,11 +126,7 @@ class SuiteReport:
 def _iter_suite_slices(bounds: SuiteBounds, rnd: random.Random):
     """Exhaustive small slices plus seeded random slices within the bounds."""
     for k in range(1, min(3, bounds.max_level) + 1):
-        for lam in itertools.combinations_with_replacement(
-            range(bounds.exhaustive_coord, -1, -1), k
-        ):
-            for nb in interlacing_predecessors(lam):
-                yield nb, lam
+        yield from _cl.iter_slices(k, bounds.exhaustive_coord)
     for k in range(1, bounds.max_level + 1):
         for _ in range(bounds.samples_per_level):
             c = bounds.max_coord
@@ -274,6 +269,27 @@ def identity_suite(
 
 # --- distribution comparison ----------------------------------------------------
 
+def _pooled_chi2(stat, counts, probs, n, min_expected, pool_p=0.0, pool_obs=0):
+    """Add to stat the chi-square terms of counts, n observations, against
+    the cell probabilities probs.  Cells whose expected count is under
+    min_expected join a pooled cell that starts at (pool_p, pool_obs), which
+    counts only when its own expected count is positive and reaches
+    min_expected.  Returns (stat, cells used)."""
+    cells = 0
+    for key, p in probs.items():
+        obs = counts.get(key, 0)
+        if n * p < min_expected:
+            pool_p += p
+            pool_obs += obs
+            continue
+        stat += (obs - n * p) ** 2 / (n * p)
+        cells += 1
+    if pool_p > 0 and n * pool_p >= min_expected:
+        stat += (pool_obs - n * pool_p) ** 2 / (n * pool_p)
+        cells += 1
+    return stat, cells
+
+
 def compare_distributions(
     samples: Counter,
     table: TransientTable,
@@ -299,21 +315,7 @@ def compare_distributions(
         tv += abs(samples.get(lam, 0) / n - p)
     tv /= 2.0
     # chi-square with pooling of low-expectation cells into the tail
-    pool_p = tail_p
-    pool_obs = tail_obs
-    stat = 0.0
-    cells = 0
-    for lam, p in exact.items():
-        if n * p < min_expected:
-            pool_p += p
-            pool_obs += samples.get(lam, 0)
-            continue
-        obs = samples.get(lam, 0)
-        stat += (obs - n * p) ** 2 / (n * p)
-        cells += 1
-    if n * pool_p >= min_expected:
-        stat += (pool_obs - n * pool_p) ** 2 / (n * pool_p)
-        cells += 1
+    stat, cells = _pooled_chi2(0.0, samples, exact, n, min_expected, tail_p, tail_obs)
     dof = max(cells - 1, 1)
     return {
         "n": n,
@@ -390,20 +392,7 @@ def gibbs_check(
             nb: float(_md.link_weight(lam, nb, a, params))
             for nb in interlacing_predecessors(lam)
         }
-        pool_p = 0.0
-        pool_obs = 0
-        cells = 0
-        for nb, p in probs.items():
-            if n * p < min_expected:
-                pool_p += p
-                pool_obs += counts.get(nb, 0)
-                continue
-            obs = counts.get(nb, 0)
-            stat += (obs - n * p) ** 2 / (n * p)
-            cells += 1
-        if pool_p > 0 and n * pool_p >= min_expected:
-            stat += (pool_obs - n * pool_p) ** 2 / (n * pool_p)
-            cells += 1
+        stat, cells = _pooled_chi2(stat, counts, probs, n, min_expected)
         if cells >= 2:
             dof += cells - 1
             used += 1

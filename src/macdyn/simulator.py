@@ -3,12 +3,13 @@ interlacing arrays, plus the standalone one-dimensional particle systems.
 
 The Gillespie loop (Gillespie's direct method) works on nodes: a node is a
 visited array's jump rates, (level, index, rate) entries in level and index
-order, their total, and links to its successors.  Each DynamicsSpec owns its
-tables, made on first use and freed with the spec: a slice table of
+order, their total, and links to its successors.  Every DynamicsSpec owns
+its tables, made on first use and freed with the spec: a slice table of
 per-slice rates and cascade outcomes, and a state table that gives every
 visited array (the flat tuple of its coordinates) an integer id and keeps
 its node, shared across trajectories.  Each holds at most _STATE_TABLE_SIZE
-entries.
+entries.  A mixing whose weights are a function of the slice is no
+exception: the function is called when its slice enters the table.
 
 An event draws its time and the uniform that selects a jump entry, then
 follows that entry's link.
@@ -33,12 +34,12 @@ and the state before the event interlaced, so every state in the table
 interlaces, and so does every state a link leads to.  A node's total and the
 selection walk add the rates in the same order, and a link draws the same
 uniforms as propagate, so every run is bit-identical to rebuilding all
-levels and checking every row pair after every event.  Specs whose slice
-weights are a callable have no tables and take the miss path on every event.
+levels and checking every row pair after every event.
+
 A cascade is applied strictly bottom-up.  Each propagation step samples one
 outcome of a branch list built once per slice, on the post-move lower row and
 pre-move upper row; the nearest-neighbor recipes and the randomized
-insertion share that one list shape and one sampler.
+insertion share that one list shape and one sampler (_child).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .classifier import (
     solve_w,
 )
 from .errors import InvalidInput, InvariantViolation
+from .insertions import check_h_vector
 from .macdonald import MacParams
 
 _PROB_TOL = 1e-9
@@ -91,10 +93,14 @@ class DynamicsSpec:
     h is required for the rsk / r / l / det-insertion recipes (length depth for
     rsk and det-insertion, depth-1 for r and l).  A mixing recipe carries
     component specs and either one constant weight per component or a callable
-    (level, nu_bar, lam) -> weights evaluated per slice.
+    (level, nu_bar, lam) -> weights evaluated per slice.  The callable must be
+    a function of those arguments alone: it is called once per slice the
+    dynamics visits, and its weights are kept with the slice.
 
     The spec owns the slice and state tables of its runs (`_tables`); they
-    are freed with it, and equal specs do not share them.
+    are freed with it, and equal specs do not share them.  Each table holds
+    at most _STATE_TABLE_SIZE = 2^15 entries; a slice or state past that
+    bound is recomputed on every use.
     """
 
     params: MacParams
@@ -114,13 +120,11 @@ class DynamicsSpec:
             raise InvalidInput("drift parameters must be positive")
         if self.recipe in _H_LENGTH:
             want = self.depth + _H_LENGTH[self.recipe]
-            if self.h is None or len(self.h) != want:
+            if self.h is None:
                 raise InvalidInput(
                     f"recipe {self.recipe!r} needs an h-vector of length {want}"
                 )
-            for lvl, v in enumerate(self.h, start=1):
-                if not 1 <= v <= lvl:
-                    raise InvalidInput(f"h-vector entry {v} at position {lvl} outside 1..{lvl}")
+            check_h_vector(self.h, want)
         elif self.h is not None:
             raise InvalidInput(f"recipe {self.recipe!r} takes no h-vector")
         if self.recipe == "mixing":
@@ -133,12 +137,9 @@ class DynamicsSpec:
                     raise InvalidInput("mixing components must share params, a, and depth")
 
     @cached_property
-    def _tables(self) -> _DynamicsTables | None:
+    def _tables(self) -> _DynamicsTables:
         """The slice and state tables of this dynamics, made on first use and
-        freed with the spec; None when slice weights are a callable (nothing
-        cached).  A spec is frozen, so its tables never go stale."""
-        if self.recipe == "mixing" and callable(self.weights):
-            return None
+        freed with the spec.  A spec is frozen, so its tables never go stale."""
         return _DynamicsTables()
 
 
@@ -231,17 +232,16 @@ def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
     are left out.  States recur heavily during an ensemble, so the per-slice
     solve is memoized in the spec's table on the slice (the level is
     len(lam)), and equal entry tuples are shared by every node holding them."""
-    tables = spec._tables
-    if tables is not None:
-        hit = tables.slices.get((nu_bar, lam))
-        if hit is not None:
-            return hit
+    slices = spec._tables.slices
+    hit = slices.get((nu_bar, lam))
+    if hit is not None:
+        return hit
     if spec.recipe == "oconnell-pei":
         data = _insertion_slice(spec, k, nu_bar, lam)
     else:
         data = _nearest_neighbor_slice(spec, k, nu_bar, lam)
-    if tables is not None and len(tables.slices) < _STATE_TABLE_SIZE:
-        tables.slices[(nu_bar, lam)] = data
+    if len(slices) < _STATE_TABLE_SIZE:
+        slices[(nu_bar, lam)] = data
     return data
 
 
@@ -339,11 +339,8 @@ def propagate(spec: DynamicsSpec, rows, k: int, j: int, prev: int, rng):
     if lam[j - 1] == prev:
         return j, "short_push"
     outcomes = _slice_data(spec, k, tuple(rows[k - 2]), tuple(lam))[1][j - 1]
-    u = rng.random()
-    for threshold, target, cause in outcomes:
-        if u < threshold:
-            return target, cause
-    return None
+    b = _child(outcomes, rng.random())
+    return outcomes[b - 1][1:] if b <= len(outcomes) else None
 
 
 @dataclass(frozen=True)
@@ -431,11 +428,9 @@ class _Node:
         self.final = None
 
 
-def _store(tables: _DynamicsTables | None, node: _Node) -> int | None:
+def _store(tables: _DynamicsTables, node: _Node) -> int | None:
     """Enter a newly built node in the table; returns its id, or None when
     it is left out."""
-    if tables is None:
-        return None
     tables.misses += 1
     nodes = tables.nodes
     if len(nodes) < _STATE_TABLE_SIZE:
@@ -455,10 +450,8 @@ def _rows(key: tuple, n: int) -> list:
     return rows
 
 
-def _intern(tables: _DynamicsTables | None, value: tuple) -> tuple:
+def _intern(tables: _DynamicsTables, value: tuple) -> tuple:
     """The tables' copy of value, which is entered while there is room."""
-    if tables is None:
-        return value
     interned = tables.interned
     if len(interned) < _STATE_TABLE_SIZE:
         return interned.setdefault(value, value)
@@ -510,7 +503,6 @@ def _miss(spec: DynamicsSpec, tables, node: _Node, rows: list, i: int, drawn: li
     n = len(rows)
     k, m, _ = node.entries[i]
     replay = _Replay(rng, drawn)
-    slices = None if tables is None else tables.slices
     branches = []  # the outcome list of every step at which propagate drew
     cascade = [(k, m, "jump")]
     prev = rows[k - 1][m - 1]
@@ -520,8 +512,8 @@ def _miss(spec: DynamicsSpec, tables, node: _Node, rows: list, i: int, drawn: li
         lam = rows[lvl - 1]
         used = replay.used
         res = propagate(spec, rows, lvl, j, prev, replay)
-        if replay.used != used and slices is not None:
-            data = slices.get((tuple(rows[lvl - 2]), tuple(lam)))
+        if replay.used != used:
+            data = tables.slices.get((tuple(rows[lvl - 2]), tuple(lam)))
             branches.append(None if data is None else data[1][j - 1])
         if res is None:
             break
@@ -532,7 +524,7 @@ def _miss(spec: DynamicsSpec, tables, node: _Node, rows: list, i: int, drawn: li
         j = target
     cascade = tuple(cascade)
     key = tuple(chain.from_iterable(rows))
-    nid = None if tables is None else tables.ids.get(key)
+    nid = tables.ids.get(key)
     if nid is None:
         _check_interlacing(rows, cascade)
         levels = list(node.levels)
@@ -573,9 +565,9 @@ def simulate(
     if rng is None:
         rng = trajectory_rng(seed)
     tables = spec._tables
-    nodes = None if tables is None else tables.nodes
+    nodes = tables.nodes
     key = tuple(chain.from_iterable(initial.levels))
-    nid = None if tables is None else tables.ids.get(key)
+    nid = tables.ids.get(key)
     rows = None  # the current array as lists while on the miss path, else None
     if nid is None:  # the initial array was validated on construction
         rows = [list(r) for r in initial.levels]
@@ -589,7 +581,7 @@ def simulate(
         total = node.total
         if total <= 0:
             break
-        t += rng.exponential(1.0 / total)
+        t += rng.standard_exponential() * (1.0 / total)
         if t > tau:
             break
         u = rng.random() * total

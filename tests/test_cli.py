@@ -97,6 +97,10 @@ class TestSimulate:
                 assert set(ev) == {"time", "cascade"}
                 for move in ev["cascade"]:
                     assert set(move) == {"level", "index", "cause"}
+        _, bare, _ = run(capsys, *argv, "--no-events")
+        assert [json.loads(line) for line in bare.strip().splitlines()] == [
+            {"trajectory": r["trajectory"], "final": r["final"]} for r in records
+        ]
 
     def test_h_length_validation(self, capsys):
         code, _, err = run(

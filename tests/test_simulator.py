@@ -401,6 +401,11 @@ def _reference_simulate(spec, tau, rng):
     return InterlacingArray(tuple(map(tuple, rows))), events
 
 
+def _parity_weights(k, nu_bar, lam):
+    """Mixing weights that depend on the slice: on the parity of |lam|."""
+    return (0.25, 0.75) if sum(lam) % 2 == 0 else (0.6, 0.4)
+
+
 def _every_recipe(params, n):
     a = (1.0, 0.7, 1.3, 0.9, 1.1)[:n]
     col, row = tuple(range(1, n + 1)), (1,) * n
@@ -413,7 +418,10 @@ def _every_recipe(params, n):
         make("r", col[:-1]), make("l", row[:-1]), make("oconnell-pei"),
         make("oconnell-pei-nn"), make("det-insertion", row),
     ]
-    return specs + [make("mixing", components=(specs[0], specs[2]), weights=(0.5, 0.5))]
+    return specs + [
+        make("mixing", components=(specs[0], specs[2]), weights=(0.5, 0.5)),
+        make("mixing", components=(specs[0], specs[2]), weights=_parity_weights),
+    ]
 
 
 def _outcome(run):
@@ -719,7 +727,7 @@ class TestStateTable:
             for nid, cascade in leaves:
                 assert tables.nodes[nid].key in checked, (spec.recipe, cascade)
 
-    def test_callable_weights_take_the_miss_path(self):
+    def test_callable_weights_are_cached_per_slice(self):
         comps = (
             DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="pb"),
             DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="rsk", h=(1, 1, 1)),
@@ -729,12 +737,27 @@ class TestStateTable:
             return DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="mixing",
                                 components=comps, weights=weights)
 
-        per_slice = mixing(lambda k, nu_bar, lam: (0.25, 0.75))
+        calls = []
+
+        def counted(k, nu_bar, lam):
+            calls.append((k, nu_bar, lam))
+            return (0.25, 0.75)
+
+        per_slice = mixing(counted)
         constant = mixing((0.25, 0.75))
-        assert per_slice._tables is None
+
+        def runs():
+            return [_outcome(lambda: simulate(per_slice, 3.0, seed=seed)) for seed in range(5)]
+
+        first = runs()
         for seed in range(5):
-            want = _outcome(lambda: simulate(constant, 3.0, seed=seed))
-            assert _outcome(lambda: simulate(per_slice, 3.0, seed=seed)) == want
+            assert first[seed] == _outcome(lambda: simulate(constant, 3.0, seed=seed))
+        slices = per_slice._tables.slices
+        assert len(calls) == len(slices) > 0
+        assert sorted(calls) == sorted((len(lam), nb, lam) for nb, lam in slices)
+        called = len(calls)
+        assert runs() == first
+        assert len(calls) == called
 
 
 def _leaves(link):

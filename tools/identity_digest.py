@@ -13,14 +13,16 @@ same script can digest any checkout.  The grid:
   fundamental solution, its `check_system` result, `solve_r` on its (w, c)
   and its `decompose` result on every basis;
 - fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion, a
-  constant-weight mixing and (at the t = 0 points) oconnell-pei, at N = 4
+  constant-weight mixing, a mixing whose weights depend on the slice and
+  (at the t = 0 points) oconnell-pei, at N = 4
   and four parameter points, hashed three times: on fresh specs, whose
   tables start empty, again on the same specs with the tables the first
   pass filled, and again on newly built specs;
 - the final arrays of a 300-trajectory `run_ensemble` for every spec of the
   simulate grid, hashed on newly built specs and again on the same specs
   with the tables the first pass filled;
-- `macdyn classify` and `macdyn simulate` output bytes for a few inputs.
+- `macdyn classify` and `macdyn simulate` output bytes for a few inputs,
+  one of them with `--no-events` from a non-zero initial array.
 
 `--dump` writes every hashed line, for diffing two trees whose digests
 differ.  This script is not part of the test suite; it runs in well under
@@ -91,6 +93,11 @@ def slice_lines(cl, MacParams):
                         yield f"{head} {kind} {basis} {dec}"
 
 
+def parity_weights(k, nu_bar, lam):
+    """Mixing weights that depend on the slice: on the parity of |lam|."""
+    return (0.25, 0.75) if sum(lam) % 2 == 0 else (0.6, 0.4)
+
+
 def simulate_specs(sim, MacParams):
     """[(point, name, spec)] of the simulate grid, as newly built specs."""
     n = SIM_DEPTH
@@ -109,6 +116,9 @@ def simulate_specs(sim, MacParams):
             "det-insertion": spec("det-insertion", h=(1, 1, 2, 4)),
             "mixing": spec("mixing", components=(spec("pb"), spec("rsk", h=(1, 1, 1, 1))),
                            weights=(0.5, 0.5)),
+            "mixing-callable": spec("mixing",
+                                    components=(spec("pb"), spec("rsk", h=(1, 1, 1, 1))),
+                                    weights=parity_weights),
         }
         if params.t == 0:
             specs["oconnell-pei"] = spec("oconnell-pei")
@@ -155,6 +165,9 @@ CLI_RUNS = (
      "--t", "0", "--a", "1,1,1,1", "--tau", "2", "--samples", "4", "--seed", "11"],
     ["simulate", "--dynamics", "oconnell-pei", "--N", "5", "--q", "0.5", "--t", "0",
      "--a", "1,1.5,1,2,1", "--tau", "2", "--samples", "4", "--seed", "11"],
+    ["simulate", "--dynamics", "pb", "--N", "4", "--q", "0.5", "--t", "0.3",
+     "--a", "1,1.5,1,2", "--tau", "2", "--samples", "6", "--seed", "11",
+     "--initial", "1;0,2;0,1,3;-1,0,2,3", "--no-events"],
 )
 
 
