@@ -38,6 +38,7 @@ from .errors import (
 )
 from .insertions import TableauPair, f_h, group_order, h_insert, h_rs_forward, h_rs_inverse
 from .macdonald import (
+    MacdonaldP,
     MacParams,
     SCHUR,
     branch_phi,

@@ -165,7 +165,10 @@ class InterlacingArray:
     def from_text(cls, text: str) -> "InterlacingArray":
         rows = []
         for chunk in text.strip().split(";"):
-            coords = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
+            try:
+                coords = [int(tok) for tok in chunk.split(",") if tok.strip() != ""]
+            except ValueError:
+                raise InvalidInput(f"not an array text: {text!r}") from None
             rows.append(tuple(reversed(coords)))
         return cls(tuple(rows))
 

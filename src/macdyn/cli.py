@@ -45,6 +45,8 @@ def _scalar(text: str):
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     if text.lstrip("+-").isdigit():
         return Fraction(int(text))
@@ -106,12 +108,12 @@ def build_parser() -> _Parser:
     p_cls.add_argument("--out", default=None)
 
     p_rsk = sub.add_parser("rsk", help="insertion correspondences on words")
-    p_rsk.add_argument("--word", default=None)
+    p_rsk.add_argument("--word", type=_digits, default=None)
     p_rsk.add_argument("--h", type=_int_list, default=None)
     p_rsk.add_argument("--f-map", action="store_true")
     p_rsk.add_argument("--inverse", action="store_true")
-    p_rsk.add_argument("--p", default=None, help="P rows, e.g. '1,1;2'")
-    p_rsk.add_argument("--q-tab", default=None, help="Q rows, e.g. '1,2;3'")
+    p_rsk.add_argument("--p", type=_parse_rows, default=None, help="P rows, e.g. '1,1;2'")
+    p_rsk.add_argument("--q-tab", type=_parse_rows, default=None, help="Q rows, e.g. '1,2;3'")
     p_rsk.add_argument("--table", action="store_true", help="CSV of all f_h images")
     p_rsk.add_argument("--N", type=int, default=None)
     p_rsk.add_argument("--out", default=None)
@@ -213,10 +215,11 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_rows(text: str):
-    rows = []
-    for chunk in text.split(";"):
-        rows.append(tuple(int(tok) for tok in chunk.split(",") if tok.strip()))
-    return tuple(rows)
+    return tuple(_int_list(chunk) for chunk in text.split(";"))
+
+
+def _digits(text: str):
+    return tuple(int(ch) for ch in text)
 
 
 def _cmd_rsk(args) -> int:
@@ -236,18 +239,17 @@ def _cmd_rsk(args) -> int:
     if args.inverse:
         if not (args.p and args.q_tab and args.h):
             raise _CliError("--inverse needs --p, --q-tab, and --h")
-        pair = ins.TableauPair(_parse_rows(args.p), _parse_rows(args.q_tab))
+        pair = ins.TableauPair(args.p, args.q_tab)
         word = ins.h_rs_inverse(pair, args.h)
         _write(["".join(map(str, word))], args.out)
         return 0
     if args.word is None or args.h is None:
         raise _CliError("rsk needs --word and --h (or --table/--inverse)")
-    word = tuple(int(ch) for ch in args.word)
     if args.f_map:
-        image = ins.f_h(word, args.h)
+        image = ins.f_h(args.word, args.h)
         _write([" ".join(map(str, image))], args.out)
         return 0
-    pair = ins.h_rs_forward(word, args.h)
+    pair = ins.h_rs_forward(args.word, args.h)
     record = {
         "P": [list(r) for r in pair.p_rows],
         "Q": [list(r) for r in pair.q_rows],
@@ -335,7 +337,8 @@ def _cmd_verify(args) -> int:
         )
         stats = orc.gibbs_check(pairs, (Fraction(1),) * 3, SCHUR)
         report["stats"] = stats
-        ok = stats["pvalue"] > 0.001
+        # a report that compared no top row has checked nothing
+        ok = not stats["vacuous"] and stats["pvalue"] > 0.001
     report["ok"] = ok
     line = _json_line(report)
     if args.report:

@@ -14,6 +14,10 @@ the net exponent map {(a, b): multiplicity} (`net_exponents` builds it from
 numerator and denominator factor lists).  On exact parameters it multiplies
 integer numerators and denominators and builds a single Fraction at the
 end; on floats it multiplies the factors in the map's order.
+
+Polynomial values are memoized by a `MacdonaldP` owner, for one drift
+vector and parameter point, as long as it lives; there is no process-wide
+cache.
 """
 
 from __future__ import annotations
@@ -303,16 +307,6 @@ def psi_prime_one_box(mu: Sequence[int], j: int, params: MacParams):
 
 # --- Macdonald polynomial evaluation ------------------------------------------
 
-# (typed a, typed q, typed t) -> {(lam, number of variables): P_lam(a_1..a_n)}
-_P_CACHE: dict = {}
-_P_TABLES = 16  # tables kept; the oldest is dropped for a new one
-_P_TABLE_SIZE = 1 << 16  # a table this full is emptied before the next call
-
-
-def clear_caches() -> None:
-    _P_CACHE.clear()
-
-
 def _strip_zeros(lam: Signature) -> Signature:
     n = len(lam)
     while n and lam[n - 1] == 0:
@@ -320,66 +314,52 @@ def _strip_zeros(lam: Signature) -> Signature:
     return lam[:n]
 
 
+class MacdonaldP:
+    """P_lambda(a_1, ..., a_n; q, t) for one drift vector a, its prefixes
+    n <= len(a) and one parameter point, by the branching rule.  Values are
+    memoized on the owner and freed with it."""
+
+    def __init__(self, a: Sequence, params: MacParams):
+        self.a = tuple(a)
+        self.params = params
+        # (lam, n) -> P_lam(a_1..a_n); with no variables only lam = () is left
+        self._memo: dict = {((), 0): params.one()}
+
+    def __call__(self, lam: Sequence[int], n: int | None = None):
+        """P_lam(a_1..a_n), n = len(a) by default.  Negative parts need
+        len(lam) == n and go through the shift P_{lam+1} = (prod a_i) P_lam."""
+        lam = check_signature(lam)
+        n = len(self.a) if n is None else n
+        if lam and lam[-1] < 0:
+            if len(lam) != n:
+                raise InvalidInput("negative parts need exactly len(lam) variables")
+            shift = -lam[-1]
+            prod_a = self.params.one()
+            for v in self.a[:n]:
+                prod_a *= v
+            return self(tuple(c + shift for c in lam), n) / prod_a ** shift
+        lam = _strip_zeros(lam)
+        if len(lam) > n:
+            return 0 * self.params.one()
+        return self._rec(lam, n)
+
+    def _rec(self, lam: Signature, n: int):
+        total = self._memo.get((lam, n))
+        if total is None:
+            padded = lam + (0,) * (n - len(lam))
+            total = 0 * self.params.one()
+            weight, x = sum(lam), self.a[n - 1]
+            for mu in interlacing_predecessors(padded):
+                psi = branch_psi(mu, padded, self.params)
+                if psi != 0:
+                    total += psi * x ** (weight - sum(mu)) * self._rec(_strip_zeros(mu), n - 1)
+            self._memo[lam, n] = total
+        return total
+
+
 def mac_P(lam: Sequence[int], a: Sequence, params: MacParams):
-    """P_lambda(a_1, ..., a_n; q, t), evaluated by the branching rule.
-
-    lam may be any signature with len(lam) <= n when nonnegative; signatures
-    with negative parts need len(lam) == n and are handled through the index
-    shift P_{lam+1} = (prod a_i) P_lam.
-    """
-    lam = check_signature(lam)
-    a = tuple(a)
-    if lam and lam[-1] < 0:
-        if len(lam) != len(a):
-            raise InvalidInput("negative parts need exactly len(lam) variables")
-        shift = -lam[-1]
-        prod_a = params.one()
-        for v in a:
-            prod_a *= v
-        return mac_P(tuple(c + shift for c in lam), a, params) / prod_a ** shift
-    lam = _strip_zeros(lam)
-    if len(lam) > len(a):
-        return 0 * params.one()
-    key = (tuple(map(_typed, a)), _typed(params.q), _typed(params.t))
-    table = _P_CACHE.get(key)
-    if table is None:
-        if len(_P_CACHE) >= _P_TABLES:
-            _P_CACHE.pop(next(iter(_P_CACHE), None), None)
-        table = _P_CACHE[key] = {}
-    elif len(table) >= _P_TABLE_SIZE:
-        table.clear()
-    return _mac_P_rec(lam, a, params, table)
-
-
-def _typed(value) -> tuple:
-    # Fraction(1, 2) == 0.5 and both hash alike, but exact and float
-    # evaluations round differently, so they must not share a cache entry
-    return type(value), value
-
-
-def _mac_P_rec(lam: Signature, a: tuple, params: MacParams, table: dict):
-    """P_lam(a), memoized in table.  The recursion only drops trailing
-    variables, so every entry is for a prefix of one drift vector and
-    (lam, len(a)) identifies it."""
-    n = len(a)
-    key = (lam, n)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
-    if n == 0:
-        return params.one() if not lam else 0 * params.one()
-    padded = lam + (0,) * (n - len(lam))
-    total = 0 * params.one()
-    weight = sum(lam)
-    for mu in interlacing_predecessors(padded):
-        psi = branch_psi(mu, padded, params)
-        if psi == 0:
-            continue
-        total += psi * a[-1] ** (weight - sum(mu)) * _mac_P_rec(
-            _strip_zeros(mu), a[:-1], params, table
-        )
-    table[key] = total
-    return total
+    """P_lambda(a_1, ..., a_n; q, t) on a MacdonaldP made for this call."""
+    return MacdonaldP(a, params)(lam)
 
 
 def schur_s(lam: Sequence[int], a: Sequence):
@@ -458,15 +438,16 @@ def _equal_length_strips_below(top: Signature, floor: Signature):
 
 # --- stochastic links, univariate rates, one-step operator --------------------
 
-def link_weight(lam: Sequence[int], nu_bar: Sequence[int], a: Sequence, params: MacParams):
+def link_weight(lam: Sequence[int], nu_bar: Sequence[int], P: MacdonaldP):
     """Entry of the stochastic link from level k to level k-1.
 
     P_{nu_bar}(a_1..a_{k-1}) P_{lam/nu_bar}(a_k) / P_lam(a_1..a_k) when
-    nu_bar < lam, else 0.  Row sums over nu_bar equal 1.
+    nu_bar < lam, else 0, at the drifts and parameters of P.  Row sums over
+    nu_bar equal 1.
     """
     lam = check_signature(lam)
     nu_bar = check_signature(nu_bar)
-    a = tuple(a)
+    a, params = P.a, P.params
     if len(a) != len(lam) or len(nu_bar) != len(lam) - 1:
         raise InvalidInput("link_weight expects len(a) == len(lam) == len(nu_bar) + 1")
     if not all(v > 0 for v in a):
@@ -474,28 +455,24 @@ def link_weight(lam: Sequence[int], nu_bar: Sequence[int], a: Sequence, params: 
     if not interlaces(nu_bar, lam):
         return 0 * params.one()
     psi = branch_psi(nu_bar, lam, params)
-    return (
-        mac_P(nu_bar, a[:-1], params)
-        * psi
-        * a[-1] ** (sum(lam) - sum(nu_bar))
-        / mac_P(lam, a, params)
-    )
+    return P(nu_bar, len(a) - 1) * psi * a[-1] ** (sum(lam) - sum(nu_bar)) / P(lam)
 
 
-def univariate_rates(lam: Sequence[int], a: Sequence, params: MacParams):
-    """Jump rates of the level-k generator: list of (j, rate) for each
-    admissible box addition, plus the constant diagonal -sum(a)."""
+def univariate_rates(lam: Sequence[int], P: MacdonaldP):
+    """Jump rates of the level-k generator at the drifts and parameters of P:
+    list of (j, rate) for each admissible box addition, plus the constant
+    diagonal -sum(a)."""
     lam = check_signature(lam)
-    a = tuple(a)
+    a, params = P.a, P.params
     if len(a) != len(lam):
         raise InvalidInput("univariate_rates expects len(a) == len(lam)")
-    p_lam = mac_P(lam, a, params)
+    p_lam = P(lam)
     rates = []
     for j in range(1, len(lam) + 1):
         if j > 1 and lam[j - 1] >= lam[j - 2]:
             continue
         up = lam[:j - 1] + (lam[j - 1] + 1,) + lam[j:]
-        rate = mac_P(up, a, params) / p_lam * psi_prime_one_box(lam, j, params)
+        rate = P(up) / p_lam * psi_prime_one_box(lam, j, params)
         rates.append((j, rate))
     return rates, -sum(a)
 
@@ -508,30 +485,31 @@ def pi_dual(a: Sequence, beta):
     return out
 
 
-def p_up(lam: Sequence[int], mu: Sequence[int], a: Sequence, beta, params: MacParams):
-    """One step of the Markov operator driven by a single dual variable.
+def p_up(lam: Sequence[int], mu: Sequence[int], P: MacdonaldP, beta):
+    """One step of the Markov operator driven by a single dual variable, at
+    the drifts and parameters of P.
 
     Nonzero only when mu/lam is a vertical strip; rows sum to one.
     """
     lam = check_signature(lam)
     mu = check_signature(mu)
-    a = tuple(a)
+    a, params = P.a, P.params
     if len(lam) != len(a) or len(mu) != len(a):
         raise InvalidInput("p_up expects len(lam) == len(mu) == len(a)")
     if not vertical_strip(lam, mu):
         return 0 * params.one()
     q_part = psi_prime_vertical(lam, mu, params) * beta ** (sum(mu) - sum(lam))
-    return mac_P(mu, a, params) / mac_P(lam, a, params) * q_part / pi_dual(a, beta)
+    return P(mu) / P(lam) * q_part / pi_dual(a, beta)
 
 
-def p_up_row(lam: Sequence[int], a: Sequence, beta, params: MacParams):
+def p_up_row(lam: Sequence[int], P: MacdonaldP, beta):
     """All nonzero entries of the p-up row at lam, as {mu: weight}."""
     lam = check_signature(lam)
     out = {}
     for bumps in itertools.product((0, 1), repeat=len(lam)):
         mu = tuple(lam[i] + bumps[i] for i in range(len(lam)))
         if all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1)):
-            w = p_up(lam, mu, a, beta, params)
+            w = p_up(lam, mu, P, beta)
             if w != 0:
                 out[mu] = w
     return out

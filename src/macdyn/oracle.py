@@ -78,10 +78,11 @@ def exact_transient(a: Sequence, params: MacParams, cutoff: int) -> TransientTab
     ) else 1.0
     coeffs: dict[Signature, object] = {zero: one}
     shell = {zero: one}
+    P = _md.MacdonaldP(a, params)
     for n in range(1, cutoff + 1):
         nxt: dict[Signature, object] = defaultdict(lambda: 0 * one)
         for mu, c_mu in shell.items():
-            rates, _ = _md.univariate_rates(mu, a, params)
+            rates, _ = _md.univariate_rates(mu, P)
             for j, rate in rates:
                 lam = mu[:j - 1] + (mu[j - 1] + 1,) + mu[j:]
                 nxt[lam] += c_mu * rate
@@ -250,16 +251,16 @@ def identity_suite(
                 lam = tuple(sorted((rnd.randint(0, 5) for _ in range(k)), reverse=True))
                 a = tuple(Fraction(rnd.randint(1, 5), rnd.randint(1, 5)) for _ in range(k))
                 beta = Fraction(rnd.randint(1, 4), rnd.randint(4, 9))
+                P = _md.MacdonaldP(a, params)
                 if k >= 2:
                     total = sum(
-                        _md.link_weight(lam, nb, a, params)
-                        for nb in interlacing_predecessors(lam)
+                        _md.link_weight(lam, nb, P) for nb in interlacing_predecessors(lam)
                     )
                     report.record(
                         "links_stochastic",
                         None if total == 1 else {"lam": lam, "a": a, "params": str(params)},
                     )
-                row = _md.p_up_row(lam, a, beta, params)
+                row = _md.p_up_row(lam, P, beta)
                 report.record(
                     "p_up_rows",
                     None if sum(row.values()) == 1 else {"lam": lam, "a": a, "beta": beta},
@@ -371,7 +372,6 @@ def gibbs_check(
 
     ensemble items are InterlacingArray's or (second_top, top) pairs.
     """
-    a = tuple(a)
     grouped: dict[Signature, Counter] = defaultdict(Counter)
     for item in ensemble:
         if isinstance(item, InterlacingArray):
@@ -382,6 +382,7 @@ def gibbs_check(
     stat = 0.0
     dof = 0
     used = 0
+    P = _md.MacdonaldP(a, params)
     for lam, counts in grouped.items():
         n = sum(counts.values())
         if n < min_count:
@@ -389,8 +390,7 @@ def gibbs_check(
         if len(lam) == 1:
             continue
         probs = {
-            nb: float(_md.link_weight(lam, nb, a, params))
-            for nb in interlacing_predecessors(lam)
+            nb: float(_md.link_weight(lam, nb, P)) for nb in interlacing_predecessors(lam)
         }
         stat, cells = _pooled_chi2(stat, counts, probs, n, min_expected)
         if cells >= 2:

@@ -44,6 +44,7 @@ insertion share that one list shape and one sampler (_child).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
@@ -116,8 +117,8 @@ class DynamicsSpec:
             raise InvalidInput(f"unknown dynamics {self.recipe!r}")
         if len(self.a) != self.depth:
             raise InvalidInput(f"need {self.depth} drift parameters, got {len(self.a)}")
-        if any(v <= 0 for v in self.a):
-            raise InvalidInput("drift parameters must be positive")
+        if not all(0 < v < math.inf for v in self.a):
+            raise InvalidInput(f"drift parameters must be positive and finite, got {self.a}")
         if self.recipe in _H_LENGTH:
             want = self.depth + _H_LENGTH[self.recipe]
             if self.h is None:
@@ -176,7 +177,11 @@ def _det_insertion_solution(ctx: SliceContext, h: int) -> SliceSolution:
 
 def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
     """The (w, c, r) triple the dynamics uses on the slice (nu_bar, lam)."""
-    ctx = SliceContext(tuple(nu_bar), tuple(lam), spec.params)
+    return _solution(spec, k, SliceContext(tuple(nu_bar), tuple(lam), spec.params))
+
+
+def _solution(spec: DynamicsSpec, k: int, ctx: SliceContext) -> SliceSolution:
+    # the components of a mixing share ctx, so S and T are evaluated once per slice
     if k == 1:
         return fundamental(pb(), ctx)  # every recipe jumps at rate a_1 here
     kind = _level_kind(spec, k)
@@ -187,9 +192,9 @@ def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
     if spec.recipe == "det-insertion":
         return _det_insertion_solution(ctx, spec.h[k - 1])
     if spec.recipe == "mixing":
-        sols = [slice_solution(comp, k, nu_bar, lam) for comp in spec.components]
+        sols = [_solution(comp, k, ctx) for comp in spec.components]
         if callable(spec.weights):
-            thetas = spec.weights(k, tuple(nu_bar), tuple(lam))
+            thetas = spec.weights(k, ctx.nu_bar, ctx.lam)
         else:
             thetas = spec.weights
         return mix(sols, list(thetas))
@@ -555,8 +560,8 @@ def simulate(
     log_events: bool = True,
 ):
     """Run one trajectory for time tau; returns (final array, event log)."""
-    if tau < 0:
-        raise InvalidInput("tau must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise InvalidInput(f"tau must be finite and nonnegative, got {tau}")
     n = spec.depth
     if initial is None:
         initial = InterlacingArray.zeros(n)

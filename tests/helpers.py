@@ -90,13 +90,14 @@ def p_up_iterate(a, params, beta_total, steps: int, cutoff: int):
     a = tuple(float(v) for v in a)
     beta = float(beta_total) / steps
     dist = {(0,) * len(a): 1.0}
+    P = md.MacdonaldP(a, params)
     rows = {}
     for _ in range(steps):
         nxt = defaultdict(float)
         for lam, p in dist.items():
             row = rows.get(lam)
             if row is None:
-                row = {mu: float(w) for mu, w in md.p_up_row(lam, a, beta, params).items()}
+                row = {mu: float(w) for mu, w in md.p_up_row(lam, P, beta).items()}
                 rows[lam] = row
             for mu, w in row.items():
                 if sum(mu) <= cutoff:
@@ -108,15 +109,16 @@ def p_up_iterate(a, params, beta_total, steps: int, cutoff: int):
 def p_up_link_commutation(lam, nu_bar, a, beta, params) -> bool:
     """Exact check of p_up(a_1..a_k) Lambda == Lambda p_up(a_1..a_{k-1}) at the
     entry (lam, nu_bar)."""
+    P, lower = md.MacdonaldP(a, params), md.MacdonaldP(a[:-1], params)
     lhs = 0
-    for mu, w in md.p_up_row(lam, a, beta, params).items():
-        lhs += w * md.link_weight(mu, nu_bar, a, params)
+    for mu, w in md.p_up_row(lam, P, beta).items():
+        lhs += w * md.link_weight(mu, nu_bar, P)
     rhs = 0
     for kb in interlacing_predecessors(lam):
-        link = md.link_weight(lam, kb, a, params)
+        link = md.link_weight(lam, kb, P)
         if link == 0:
             continue
-        rhs += link * md.p_up(kb, nu_bar, a[:-1], beta, params)
+        rhs += link * md.p_up(kb, nu_bar, lower, beta)
     return lhs == rhs
 
 

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from macdyn import cli
+from macdyn import simulator as sim
 from macdyn.cli import main
 from macdyn.insertions import f_h_table, permutation_words
 
@@ -110,6 +113,18 @@ class TestSimulate:
         )
         assert code == 1 and "length 3" in err
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau(self, capsys, monkeypatch, tau):
+        # trajectories that cannot draw: were tau let through, the run would
+        # fail on its first draw instead of running forever
+        monkeypatch.setattr(sim, "trajectory_rngs", lambda seed, n: [object()] * n)
+        code, out, err = run(
+            capsys,
+            "simulate", "--dynamics", "pb", "--N", "2", "--a", "1,1", "--tau", tau,
+            "--seed", "1",
+        )
+        assert code == 1 and out == "" and err.startswith("error: tau")
+
     def test_unknown_dynamics(self, capsys):
         code, _, err = run(
             capsys,
@@ -187,6 +202,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["stats"]["pvalue"] > 0.001
 
+    def test_gibbs_vacuous_fails(self, capsys):
+        # 50 samples leave no top row with 100 observations: nothing is checked
+        code, out, _ = run(
+            capsys, "verify", "--suite", "gibbs", "--samples", "50", "--seed", "1"
+        )
+        record = json.loads(out)
+        assert code == 2 and record["ok"] is False
+        assert record["stats"]["vacuous"] and record["stats"]["tops"] == 0
+
     def test_transient_small(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "transient", "--samples", "4000", "--seed", "9"
@@ -223,3 +247,21 @@ class TestParserReuse:
         assert [code for code, _, _ in reused] == [1, 0, 0]
         assert "--t" in reused[0][2]
         assert reused == fresh
+
+
+BAD_INPUTS = {
+    "rsk-word": ["rsk", "--word", "12a", "--h", "1,1,1"],
+    "rsk-inverse-rows": ["rsk", "--inverse", "--p", "1,a", "--q-tab", "1,2", "--h", "1"],
+    "initial-array": ["simulate", "--dynamics", "pb", "--N", "2", "--a", "1,1",
+                      "--tau", "1", "--initial", "x;y"],
+    "zero-denominator": ["simulate", "--dynamics", "pb", "--N", "2", "--a", "1,1",
+                         "--tau", "1", "--q", "1/0"],
+}
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

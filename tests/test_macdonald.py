@@ -10,11 +10,11 @@ import pytest
 from macdyn.arrays import interlacing_predecessors
 from macdyn.errors import BlockedMove
 from macdyn.macdonald import (
+    MacdonaldP,
     MacParams,
     SCHUR,
     branch_phi,
     branch_psi,
-    clear_caches,
     dim_standard,
     factor_product,
     link_weight,
@@ -257,7 +257,6 @@ class TestMacP:
         assert total == pi_dual(a, beta)
 
     def test_thread_safety_of_cache(self):
-        clear_caches()
         a = (F(1), F(2), F(3))
 
         def work(_):
@@ -268,26 +267,24 @@ class TestMacP:
         assert len(set(results)) == 1
 
     def test_cache_keeps_exact_and_float_apart(self):
-        clear_caches()
         want = mac_P((2, 1, 0), (1.0, 0.5, 0.25), MacParams(0.5, 0.25))
-        clear_caches()
         mac_P((2, 1, 0), (F(1), F(1, 2), F(1, 4)), MacParams(F(1, 2), F(1, 4)))
         got = mac_P((2, 1, 0), (1.0, 0.5, 0.25), MacParams(0.5, 0.25))
         assert type(got) is float and got == want
 
-    def test_cache_is_bounded(self, monkeypatch):
-        import macdyn.macdonald as mac
+    def test_dropping_the_owner_frees_its_memo(self):
+        import gc
+        import weakref
 
-        drifts = [(F(1), F(k), F(1, k + 1)) for k in range(1, 2 * mac._P_TABLES)]
-        shapes = [(3, 1, 0), (2, 2, 1), (4, 0, 0)]
-        clear_caches()
-        want = [mac_P(lam, a, QT) for a in drifts for lam in shapes]
-        assert len(mac._P_CACHE) == mac._P_TABLES
-        clear_caches()
-        monkeypatch.setattr(mac, "_P_TABLE_SIZE", 4)
-        assert [mac_P(lam, a, QT) for a in drifts for lam in shapes] == want
-        # emptied before each call: at most one call's 11 entries, not all 17
-        assert all(len(table) <= 11 for table in mac._P_CACHE.values())
+        P = MacdonaldP((F(1), F(2), F(3)), QT)
+        assert P((3, 2, 1)) == mac_P((3, 2, 1), P.a, QT)
+        assert P._memo
+        # the owner is the memo's only referrer, so the memo dies with it
+        assert gc.get_referrers(P._memo) == [P]
+        owner = weakref.ref(P)
+        del P
+        gc.collect()
+        assert owner() is None
 
 
 class TestSkew:
@@ -318,12 +315,13 @@ class TestSkew:
 class TestLinksAndRates:
     def test_uniform_links_are_dimension_ratios(self):
         # Schur, a = (1, 1): weights 1/2 on each predecessor of (1, 0)
-        w0 = link_weight((1, 0), (0,), (F(1), F(1)), SCHUR)
-        w1 = link_weight((1, 0), (1,), (F(1), F(1)), SCHUR)
+        P = MacdonaldP((F(1), F(1)), SCHUR)
+        w0 = link_weight((1, 0), (0,), P)
+        w1 = link_weight((1, 0), (1,), P)
         assert w0 == w1 == F(1, 2)
 
     def test_unique_predecessor(self):
-        assert link_weight((0, 0), (0,), (F(1), F(2)), QT) == 1
+        assert link_weight((0, 0), (0,), MacdonaldP((F(1), F(2)), QT)) == 1
 
     def test_row_stochastic_random(self):
         rnd = random.Random(1)
@@ -331,17 +329,19 @@ class TestLinksAndRates:
             k = rnd.randint(2, 4)
             lam = tuple(sorted((rnd.randint(0, 4) for _ in range(k)), reverse=True))
             a = tuple(F(rnd.randint(1, 4), rnd.randint(1, 3)) for _ in range(k))
-            total = sum(link_weight(lam, nb, a, QT) for nb in interlacing_predecessors(lam))
+            P = MacdonaldP(a, QT)
+            total = sum(link_weight(lam, nb, P) for nb in interlacing_predecessors(lam))
             assert total == 1
 
     def test_translation_invariance(self):
         a = (F(1), F(2))
-        v1 = link_weight((3, 1), (2,), a, QT)
-        v2 = link_weight((4, 2), (3,), a, QT)
+        P = MacdonaldP(a, QT)
+        v1 = link_weight((3, 1), (2,), P)
+        v2 = link_weight((4, 2), (3,), P)
         assert v1 == v2
 
     def test_rate_level_one(self):
-        rates, diag = univariate_rates((7,), (F(3),), QT)
+        rates, diag = univariate_rates((7,), MacdonaldP((F(3),), QT))
         assert rates == [(1, F(3))] and diag == -3
 
     def test_rate_sum_equals_drift_sum(self):
@@ -350,11 +350,11 @@ class TestLinksAndRates:
             k = rnd.randint(1, 4)
             lam = tuple(sorted((rnd.randint(0, 5) for _ in range(k)), reverse=True))
             a = tuple(F(rnd.randint(1, 4), rnd.randint(1, 3)) for _ in range(k))
-            rates, diag = univariate_rates(lam, a, QT)
+            rates, diag = univariate_rates(lam, MacdonaldP(a, QT))
             assert sum(r for _, r in rates) == sum(a) == -diag
 
     def test_schur_rates_example(self):
-        rates, _ = univariate_rates((1, 0), (F(1), F(1)), SCHUR)
+        rates, _ = univariate_rates((1, 0), MacdonaldP((F(1), F(1)), SCHUR))
         table = dict(rates)
         assert table[1] == schur_s((2, 0), (1, 1)) / schur_s((1, 0), (1, 1))
         assert table[2] == schur_s((1, 1), (1, 1)) / schur_s((1, 0), (1, 1))
@@ -369,12 +369,12 @@ class TestPUp:
             lam = tuple(sorted((rnd.randint(0, 5) for _ in range(k)), reverse=True))
             a = tuple(F(rnd.randint(1, 3), rnd.randint(1, 3)) for _ in range(k))
             beta = F(rnd.randint(1, 3), rnd.randint(3, 7))
-            assert sum(p_up_row(lam, a, beta, QT).values()) == 1
+            assert sum(p_up_row(lam, MacdonaldP(a, QT), beta).values()) == 1
 
     def test_diagonal_entry(self):
         a = (F(1), F(2))
         beta = F(1, 3)
-        assert p_up((3, 1), (3, 1), a, beta, QT) == 1 / pi_dual(a, beta)
+        assert p_up((3, 1), (3, 1), MacdonaldP(a, QT), beta) == 1 / pi_dual(a, beta)
 
     def test_commutes_with_links(self):
         from helpers import p_up_link_commutation

@@ -138,9 +138,10 @@ class TestGibbs:
         """Draw (nu_bar, top) pairs from the exact Schur joint law at tau = 1:
         top from the transient table, nu_bar from the link conditional, or from
         a uniform mutant when mutate is set."""
-        from macdyn.macdonald import link_weight
+        from macdyn.macdonald import MacdonaldP, link_weight
 
         table = exact_transient((F(1), F(1), F(1)), SCHUR, 10)
+        P = MacdonaldP((F(1),) * 3, SCHUR)
         tops = sample_from_table(table, 1.0, n, rng)
         pairs = []
         for lam, count in tops.items():
@@ -150,7 +151,7 @@ class TestGibbs:
             if mutate:
                 probs = [1.0 / len(preds)] * len(preds)
             else:
-                probs = [float(link_weight(lam, nb, (F(1),) * 3, SCHUR)) for nb in preds]
+                probs = [float(link_weight(lam, nb, P)) for nb in preds]
             draws = rng.multinomial(count, probs)
             for nb, cnt in zip(preds, draws):
                 pairs.extend([(nb, lam)] * int(cnt))

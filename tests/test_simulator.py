@@ -68,6 +68,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput):
             DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="rsk", h=(2, 1))
 
+    @pytest.mark.parametrize("drift", [math.inf, math.nan, 0.0])
+    def test_drifts_positive_and_finite(self, drift):
+        with pytest.raises(InvalidInput, match="drift"):
+            DynamicsSpec(params=SCHUR, a=(drift, 1.0), depth=2, recipe="pb")
+
 
 class TestRatesAndPropagation:
     def test_pb_schur_rates(self):
@@ -180,12 +185,42 @@ class TestRatesAndPropagation:
         final, events = simulate(spec, 0.7, seed=5)
         assert final.depth == 3
 
+    def test_mixing_builds_one_context_per_slice(self, monkeypatch):
+        import macdyn.simulator as sim
+
+        a = (1.0, 0.8, 1.2)
+        comps = tuple(
+            DynamicsSpec(params=QW, a=a, depth=3, recipe=recipe, h=h)
+            for recipe, h in (("pb", None), ("rsk", (1, 2, 1)), ("qrow", None))
+        )
+        spec = DynamicsSpec(params=QW, a=a, depth=3, recipe="mixing", components=comps,
+                            weights=(0.5, 0.25, 0.25))
+        want = [slice_solution(comp, 3, (2, 1), (3, 2, 0)) for comp in comps]
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return SliceContext(*args)
+
+        monkeypatch.setattr(sim, "SliceContext", counted)
+        sol = slice_solution(spec, 3, (2, 1), (3, 2, 0))
+        assert len(built) == 1
+        assert sol == sim.mix(want, [0.5, 0.25, 0.25])
+
 
 class TestSimulate:
     def test_tau_zero(self):
         spec = DynamicsSpec(params=SCHUR, a=(1.0,), depth=1, recipe="pb")
         final, events = simulate(spec, 0.0, seed=1)
         assert final == InterlacingArray.zeros(1) and events == []
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tau_finite_and_nonnegative(self, tau):
+        spec = DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="pb")
+        # a generator that cannot draw: were tau let through, the event loop
+        # would fail on its first draw instead of running forever
+        with pytest.raises(InvalidInput, match="tau"):
+            simulate(spec, tau, rng=_ScriptedRng([]))
 
     def test_reproducible(self):
         spec = DynamicsSpec(params=QW, a=(1.0, 1.0, 1.0), depth=3, recipe="pb")

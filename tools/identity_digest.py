@@ -22,7 +22,14 @@ same script can digest any checkout.  The grid:
   simulate grid, hashed on newly built specs and again on the same specs
   with the tables the first pass filled;
 - `macdyn classify` and `macdyn simulate` output bytes for a few inputs,
-  one of them with `--no-events` from a non-zero initial array.
+  one of them with `--no-events` from a non-zero initial array;
+- the exact oracles: `exact_transient` coefficients for three drift vectors
+  at every point of the slice grid (Fraction drifts at the exact points,
+  float drifts at the float ones), `gibbs_check` on a fixed list of
+  (second-top row, top row) pairs at three points, and an `identity_suite`
+  report with small bounds;
+- `macdyn verify --suite transient` and `--suite gibbs` report bytes and
+  exit codes at a fixed seed.
 
 `--dump` writes every hashed line, for diffing two trees whose digests
 differ.  This script is not part of the test suite; it runs in well under
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -46,6 +54,11 @@ SIM_DEPTH = 4
 SIM_SEEDS = range(4)
 ENSEMBLE_SAMPLES = 300
 ENSEMBLE_SEED = 7
+TRANSIENT_DRIFTS = ((1, 1), (1, F(1, 2), 2), (1, 2, F(1, 3)))
+TRANSIENT_CUTOFF = 6
+GIBBS_POINTS = ((0.0, 0.0), (F(1, 2), F(1, 3)), (0.5, 0.0))
+GIBBS_DRIFTS = (F(1), F(1, 2), F(2))
+GIBBS_TOPS = ((1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 1, 0), (2, 1, 1), (4, 2, 0), (3, 3, 1))
 
 
 def enc(value) -> str:
@@ -181,14 +194,57 @@ def cli_lines(cli):
             yield f"{' '.join(argv)} exit {code} sha256 {hashlib.sha256(data).hexdigest()}"
 
 
+VERIFY_RUNS = (
+    ["verify", "--suite", "transient", "--samples", "2000", "--seed", "3"],
+    ["verify", "--suite", "gibbs", "--samples", "4000", "--seed", "5"],
+)
+
+
+def oracle_lines(orc, arrays, MacParams):
+    for point in FLOAT_POINTS + EXACT_POINTS:
+        params = MacParams(*point)
+        cast = float if isinstance(point[0], float) else F
+        for drift in TRANSIENT_DRIFTS:
+            a = tuple(cast(v) for v in drift)
+            table = attempt(orc.exact_transient, a, params, TRANSIENT_CUTOFF)
+            if not isinstance(table, str):
+                table = enc(sorted(table.coeffs.items()))
+            yield f"{enc(point)} transient {enc(a)} {table}"
+    pairs = []
+    for i, lam in enumerate(GIBBS_TOPS):
+        for j, nb in enumerate(arrays.interlacing_predecessors(lam)):
+            pairs += [(nb, lam)] * (60 + (7 * i + 13 * j) % 90)
+    for point in GIBBS_POINTS:
+        params = MacParams(*point)
+        stats = attempt(orc.gibbs_check, pairs, GIBBS_DRIFTS, params)
+        if not isinstance(stats, str):
+            stats = enc(sorted(stats.items()))
+        yield f"{enc(point)} gibbs {stats}"
+    bounds = orc.SuiteBounds(max_level=3, max_coord=5, samples_per_level=5, exhaustive_coord=2)
+    report = orc.identity_suite(bounds=bounds).to_json_dict()
+    yield "identity_suite " + json.dumps(report, sort_keys=True, default=str)
+
+
+def verify_lines(cli):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report"
+        for argv in VERIFY_RUNS:
+            code = cli.main(argv + ["--report", str(out)])
+            data = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            yield f"{' '.join(argv)} exit {code} sha256 {hashlib.sha256(data).hexdigest()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     parser.add_argument("--dump", type=Path, help="write every hashed line to this file")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    from macdyn import arrays
     from macdyn import classifier as cl
     from macdyn import cli
+    from macdyn import oracle as orc
     from macdyn import simulator as sim
     from macdyn.macdonald import MacParams
 
@@ -205,6 +261,8 @@ def main(argv=None) -> int:
         ("ensemble", ensemble_lines(sim, ensemble_specs)),
         ("ensemble-warm", ensemble_lines(sim, ensemble_specs)),
         ("cli", cli_lines(cli)),
+        ("oracles", oracle_lines(orc, arrays, MacParams)),
+        ("verify", verify_lines(cli)),
     ):
         for line in lines:
             digest.update(line.encode() + b"\n")
