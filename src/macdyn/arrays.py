@@ -10,7 +10,9 @@ index 1 is the rightmost (largest) coordinate of a row.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import le, lt
 from typing import Iterator, Sequence
 
 from .errors import BlockedMove, InvalidInput
@@ -25,10 +27,6 @@ def check_signature(parts: Sequence[int]) -> Signature:
         if sig[i] < sig[i + 1]:
             raise InvalidInput(f"not weakly decreasing: {sig}")
     return sig
-
-
-def is_signature(parts: Sequence[int]) -> bool:
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
 def interlaces(mu: Sequence[int], lam: Sequence[int]) -> bool:
@@ -121,16 +119,12 @@ class InterlacingArray:
     levels: tuple[Signature, ...]
 
     def __post_init__(self):
-        levels = tuple(check_signature(row) for row in self.levels)
+        levels = tuple(tuple(int(c) for c in row) for row in self.levels)
         object.__setattr__(self, "levels", levels)
         for k, row in enumerate(levels, start=1):
             if len(row) != k:
                 raise InvalidInput(f"row {k} has length {len(row)}, expected {k}")
-        for k in range(1, len(levels)):
-            if not interlaces(levels[k - 1], levels[k]):
-                raise InvalidInput(
-                    f"rows {k} and {k + 1} do not interlace: {levels[k - 1]} vs {levels[k]}"
-                )
+        check_chain(levels)
 
     @property
     def depth(self) -> int:
@@ -173,42 +167,61 @@ class InterlacingArray:
         return cls(tuple(rows))
 
 
-def tableau_to_array(rows: Sequence[Sequence[int]], depth: int) -> InterlacingArray:
-    """Semistandard tableau over {1..depth} -> interlacing array.
+def check_chain(levels: Sequence[Sequence[int]]) -> None:
+    """Raise InvalidInput unless consecutive rows (of lengths 1..depth)
+    interlace, which also makes every row a signature."""
+    for k in range(1, len(levels)):
+        mu, lam = levels[k - 1], levels[k]
+        if not interlaces(mu, lam):
+            raise InvalidInput(
+                f"rows {k} and {k + 1} do not interlace: {tuple(mu)} vs {tuple(lam)}"
+            )
 
-    Row k of the array is the shape occupied by the letters 1..k.
-    """
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            if not 1 <= x <= depth:
-                raise InvalidInput(f"letter {x} outside alphabet 1..{depth}")
-            if c + 1 < len(row) and row[c + 1] < x:
-                raise InvalidInput("rows of a semistandard tableau must weakly increase")
-            if r + 1 < len(rows) and c < len(rows[r + 1]) and rows[r + 1][c] <= x:
-                raise InvalidInput("columns of a semistandard tableau must strictly increase")
+
+def tableau_to_levels(rows: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
+    """Semistandard tableau over {1..depth} -> the checked rows of its
+    interlacing array, as lists: row k is the shape of the letters 1..k.
+    The chain check rejects a shape that is not a partition."""
     if len(rows) > depth:
         raise InvalidInput(f"tableau has {len(rows)} rows, more than depth {depth}")
-    levels = []
-    for k in range(1, depth + 1):
-        shape = [sum(1 for x in row if x <= k) for row in rows]
-        shape += [0] * (k - len(shape))
-        levels.append(tuple(shape[:k]))
-    return InterlacingArray(tuple(levels))
+    levels = [[0] * k for k in range(1, depth + 1)]
+    above: Sequence[int] = ()
+    for i, row in enumerate(rows):
+        if not all(map(le, row, row[1:])):
+            raise InvalidInput("rows of a semistandard tableau must weakly increase")
+        if row and not 1 <= row[0] <= row[-1] <= depth:
+            raise InvalidInput(f"row {tuple(row)} has letters outside alphabet 1..{depth}")
+        if not all(map(lt, above, row)):
+            raise InvalidInput("columns of a semistandard tableau must strictly increase")
+        for k in range(i + 1, depth + 1):
+            levels[k - 1][i] = bisect_right(row, k)
+        above = row
+    check_chain(levels)
+    return levels
+
+
+def levels_to_tableau(levels: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows that interlace (so the top row's last coordinate is the least)
+    and are nonnegative -> semistandard tableau rows."""
+    if levels and levels[-1][-1] < 0:
+        raise InvalidInput("tableau correspondence needs nonnegative coordinates")
+    out: list[list[int]] = [[] for _ in levels]
+    lower: Sequence[int] = (0,)
+    for k, row in enumerate(levels, start=1):
+        for i, c in enumerate(row):
+            out[i] += [k] * (c - lower[i])
+        lower = (*row, 0)
+    return tuple(tuple(r) for r in out if r)
+
+
+def tableau_to_array(rows: Sequence[Sequence[int]], depth: int) -> InterlacingArray:
+    """Semistandard tableau over {1..depth} -> interlacing array."""
+    return InterlacingArray.trusted(tuple(map(tuple, tableau_to_levels(rows, depth))))
 
 
 def array_to_tableau(arr: InterlacingArray) -> tuple[tuple[int, ...], ...]:
     """Interlacing array (nonnegative rows) -> semistandard tableau rows."""
-    if any(c < 0 for row in arr.levels for c in row):
-        raise InvalidInput("tableau correspondence needs nonnegative coordinates")
-    n = arr.depth
-    rows: list[list[int]] = [[] for _ in range(n)]
-    prev = [0] * n
-    for k in range(1, n + 1):
-        cur = list(arr.row(k)) + [0] * (n - k)
-        for i in range(n):
-            rows[i].extend([k] * (cur[i] - prev[i]))
-        prev = cur
-    return tuple(tuple(r) for r in rows if r)
+    return levels_to_tableau(arr.levels)
 
 
 @dataclass(frozen=True)
@@ -273,7 +286,7 @@ def skew_chains(lam: Sequence[int], mu: Sequence[int], letters: int) -> Iterator
                         for i in range(len(top))
                     )
                 )
-                if is_signature(k)
+                if all(a >= b for a, b in zip(k, k[1:]))
             )
         for kappa in below:
             if growing and any(kappa[i] < mu[i] for i in range(min(len(kappa), len(mu)))):

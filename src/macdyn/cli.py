@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
 
     p_grp = sub.add_parser("group", help="order of the group generated by the f_h maps")
     p_grp.add_argument("--N", type=int, required=True)
-    p_grp.add_argument("--limit", type=int, default=5)
+    p_grp.add_argument("--limit", type=int, default=4)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument(

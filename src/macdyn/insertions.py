@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
-from .arrays import InterlacingArray, array_to_tableau, tableau_to_array, xi, xi_inverse
+from .arrays import InterlacingArray, check_chain, levels_to_tableau, tableau_to_levels
 from .errors import InvalidInput, ResourceLimit
 
 Word = tuple[int, ...]
-Move = tuple[int, int]  # (level, 1-based index)
 
 
 def check_h_vector(h: Sequence[int], depth: int | None = None) -> tuple[int, ...]:
-    h = tuple(int(v) for v in h)
+    h = tuple(map(int, h))
     if depth is not None and len(h) != depth:
         raise InvalidInput(f"h-vector must have length {depth}, got {len(h)}")
     for k, v in enumerate(h, start=1):
@@ -36,30 +36,26 @@ def check_h_vector(h: Sequence[int], depth: int | None = None) -> tuple[int, ...
     return h
 
 
-def _donate(rows: list[list[int]], k: int, j: int) -> int:
-    """Redirect a move at (level k, index j) to the first free index <= j."""
-    if k == 1:
-        return 1
-    return xi(rows[k - 2], rows[k - 1], j)
+def _h_insert_rows(rows: list[list[int]], letter: int, h: Sequence[int]) -> int:
+    """In-place h-insertion on interlacing row buffers; returns the index of
+    the move at the top level.
 
-
-def _h_insert_rows(rows: list[list[int]], letter: int, h: Sequence[int]) -> list[Move]:
-    """In-place h-insertion on row buffers; returns the move list."""
-    n = len(rows)
-    j = _donate(rows, letter, h[letter - 1])
-    prev = rows[letter - 1][j - 1]
-    rows[letter - 1][j - 1] += 1
-    moves: list[Move] = [(letter, j)]
-    for k in range(letter + 1, n + 1):
-        if rows[k - 1][j - 1] == prev or j < h[k - 1]:
-            target = _donate(rows, k, j)
+    A jump or push aimed at a blocked index goes to the first free index
+    below it (the scan of `arrays.xi`)."""
+    j = h[letter - 1]
+    prev = None
+    for k in range(letter, len(rows) + 1):
+        lam = rows[k - 1]
+        if prev is None or lam[j - 1] == prev or j < h[k - 1]:
+            if k > 1:
+                nu_bar = rows[k - 2]
+                while j > 1 and lam[j - 1] >= nu_bar[j - 2]:
+                    j -= 1
         else:
-            target = j + 1
-        prev = rows[k - 1][target - 1]
-        rows[k - 1][target - 1] += 1
-        moves.append((k, target))
-        j = target
-    return moves
+            j += 1
+        prev = lam[j - 1]
+        lam[j - 1] = prev + 1
+    return j
 
 
 def h_insert_trace(arr: InterlacingArray, letter: int, h: Sequence[int]):
@@ -72,7 +68,10 @@ def h_insert_trace(arr: InterlacingArray, letter: int, h: Sequence[int]):
     if not 1 <= letter <= n:
         raise InvalidInput(f"letter {letter} outside alphabet 1..{n}")
     rows = [list(r) for r in arr.levels]
-    moves = _h_insert_rows(rows, letter, h)
+    _h_insert_rows(rows, letter, h)
+    # the move at each level letter..depth is the one coordinate that grew
+    moves = [(k, 1 + next(i for i, (a, b) in enumerate(zip(old, new)) if a != b))
+             for k, (old, new) in enumerate(zip(arr.levels, rows), start=1) if k >= letter]
     return InterlacingArray(tuple(tuple(r) for r in rows)), moves
 
 
@@ -89,26 +88,24 @@ class TableauPair:
     q_rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if tuple(len(r) for r in self.p_rows) != tuple(len(r) for r in self.q_rows):
+        if list(map(len, self.p_rows)) != list(map(len, self.q_rows)):
             raise InvalidInput("P and Q must have equal shape")
-        entries = sorted(x for row in self.q_rows for x in row)
+        entries = sorted(itertools.chain.from_iterable(self.q_rows))
         if entries != list(range(1, len(entries) + 1)):
             raise InvalidInput("Q must contain 1..n once each")
-        for r, row in enumerate(self.q_rows):
-            for c in range(len(row)):
-                if c + 1 < len(row) and row[c + 1] <= row[c]:
-                    raise InvalidInput("Q rows must strictly increase")
-                if r + 1 < len(self.q_rows) and c < len(self.q_rows[r + 1]):
-                    if self.q_rows[r + 1][c] <= row[c]:
-                        raise InvalidInput("Q columns must strictly increase")
+        for upper, lower in zip(self.q_rows, self.q_rows[1:] + ((),)):
+            if not all(map(lt, upper, upper[1:])):
+                raise InvalidInput("Q rows must strictly increase")
+            if not all(map(lt, upper, lower)):
+                raise InvalidInput("Q columns must strictly increase")
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.p_rows)
+        return tuple(map(len, self.p_rows))
 
     @property
     def size(self) -> int:
-        return sum(self.shape)
+        return sum(map(len, self.p_rows))
 
 
 def h_rs_forward(word: Sequence[int], h: Sequence[int]) -> TableauPair:
@@ -120,11 +117,9 @@ def h_rs_forward(word: Sequence[int], h: Sequence[int]) -> TableauPair:
     for step, letter in enumerate(word, start=1):
         if not 1 <= letter <= n:
             raise InvalidInput(f"letter {letter} outside alphabet 1..{n}")
-        moves = _h_insert_rows(rows, letter, h)
-        q_rows[moves[-1][1] - 1].append(step)
-    arr = InterlacingArray(tuple(tuple(r) for r in rows))
-    p_rows = array_to_tableau(arr)
-    return TableauPair(p_rows, tuple(tuple(r) for r in q_rows if r))
+        q_rows[_h_insert_rows(rows, letter, h) - 1].append(step)
+    check_chain(rows)
+    return TableauPair(levels_to_tableau(rows), tuple(tuple(r) for r in q_rows if r))
 
 
 def h_rs_inverse(pair: TableauPair, h: Sequence[int]) -> Word:
@@ -132,16 +127,14 @@ def h_rs_inverse(pair: TableauPair, h: Sequence[int]) -> Word:
 
     Reconstructs insertion trajectories last letter first: the Q entry locates
     the level-N endpoint, then on each slice exactly one of {independent jump,
-    pull by j-1, push by xi^{-1}(j)} explains the move.
+    pull by j-1, push by xi^{-1}(j)} explains the move: the pull when
+    h^(k) < j, else the jump when no index in (j, h^(k)] is free, else the
+    push from f-1, f the first such free index.
     """
     h = check_h_vector(h)
     n = len(h)
-    arr = tableau_to_array(pair.p_rows, n)
-    rows = [list(r) for r in arr.levels]
-    where = {}
-    for r, row in enumerate(pair.q_rows, start=1):
-        for entry in row:
-            where[entry] = r
+    rows = tableau_to_levels(pair.p_rows, n)
+    where = {entry: r for r, row in enumerate(pair.q_rows, start=1) for entry in row}
     q_shape = [len(r) for r in pair.q_rows]
     word_rev = []
     for step in range(pair.size, 0, -1):
@@ -149,38 +142,34 @@ def h_rs_inverse(pair: TableauPair, h: Sequence[int]) -> Word:
         if q_shape[j - 1] == 0:
             raise InvalidInput("recording tableau inconsistent with shape")
         q_shape[j - 1] -= 1
-        k = n
-        while True:
-            rows[k - 1][j - 1] -= 1
-            if j < k and rows[k - 1][j - 1] < rows[k - 1][j]:
+        for k in range(n, 0, -1):
+            lam = rows[k - 1]
+            lam[j - 1] -= 1
+            if j < k and lam[j - 1] < lam[j]:
                 raise InvalidInput(f"pair not in the image: row {k} breaks at step {step}")
             if k == 1:
                 if j != 1:
                     raise InvalidInput("pair not in the image: bad endpoint at level 1")
                 letter = 1
                 break
-            nu_bar, lam = rows[k - 2], rows[k - 1]
-            if j <= k - 1 and lam[j - 1] < nu_bar[j - 1]:
-                k -= 1  # short-range push: the mover below had the same index
-                continue
-            if xi(nu_bar, lam, j) != j:  # j is blocked
+            nu_bar = rows[k - 2]
+            if j < k and lam[j - 1] < nu_bar[j - 1]:
+                continue  # short-range push: the mover below had the same index
+            if j > 1 and lam[j - 1] >= nu_bar[j - 2]:
                 raise InvalidInput("pair not in the image: moved particle was blocked")
             hk = h[k - 1]
-            if xi(nu_bar, lam, hk) == j:
-                letter = k
-                break
             if hk < j:
-                if j == 1:
-                    raise InvalidInput("pair not in the image: no puller available")
-                j = j - 1
+                j -= 1
             else:
-                i = xi_inverse(nu_bar, lam, j)
-                if i is None:
-                    raise InvalidInput("pair not in the image: no pusher available")
-                j = i
-            k -= 1
+                f = j + 1
+                while f <= hk and lam[f - 1] >= nu_bar[f - 2]:
+                    f += 1
+                if f > hk:
+                    letter = k
+                    break
+                j = f - 1
         word_rev.append(letter)
-    if any(c != 0 for row in rows for c in row):
+    if any(map(any, rows)):
         raise InvalidInput("pair not in the image: residue after unwinding")
     return tuple(reversed(word_rev))
 
@@ -306,21 +295,17 @@ def _bsgs_order(generators: list[tuple]) -> int:
     return order
 
 
-def group_order(n: int, limit: int = 5) -> int:
+def group_order(n: int, limit: int = 4) -> int:
     """Order of the subgroup of permutations of the n! permutation words that
     is generated by all the maps f_h.
 
     Uses a stabilizer chain on degree n!, and refuses n above `limit`.
     n <= 4 takes well under a second; n = 5 (degree 120) has not been seen to
-    finish, having run for over 300 s.
+    finish, having run for over 300 s, so it needs an explicit limit=5.
     """
     if n < 1:
         raise InvalidInput("n must be positive")
     if n > limit:
         raise ResourceLimit(f"group order on degree {n}! refused (limit {limit}!)")
-    words = permutation_words(n)
-    index = {w: i for i, w in enumerate(words)}
-    gens = []
-    for h in itertools.product(*(range(1, k + 1) for k in range(1, n + 1))):
-        gens.append(tuple(index[f_h(w, h)] for w in words))
-    return _bsgs_order(gens)
+    index = {w: i for i, w in enumerate(permutation_words(n))}
+    return _bsgs_order([tuple(index[w] for w in images) for images in f_h_table(n).values()])

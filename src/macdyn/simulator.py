@@ -50,8 +50,6 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .arrays import InterlacingArray, interlaces, xi
 from .classifier import (
     F_quant,
@@ -382,7 +380,10 @@ def _check_interlacing(rows, cascade) -> None:
 def trajectory_rng(seed, index: int = 0) -> np.random.Generator:
     """Counter-based per-trajectory stream: Philox keyed by seed, advanced by
     index * 2**128 draws (the stream of ``Philox(key=seed).jumped(index)``).
-    Equal (seed, index) reproduce bit-identical runs."""
+    Equal (seed, index) reproduce bit-identical runs.  numpy is imported
+    here, on first use, so that importing the package leaves it out."""
+    import numpy as np
+
     bits = np.random.Philox(key=seed)
     bits.advance(index << 128)
     return np.random.Generator(bits)

@@ -1,5 +1,6 @@
 """Reference code that only the tests use: independent cross-checks of the
-package and the reference twin of its fast factor-product kernel."""
+package and the reference twins of its fast factor-product kernel and of
+its row-level h-RS correspondence."""
 
 import bisect
 import math
@@ -7,8 +8,10 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from macdyn import macdonald as md
-from macdyn.arrays import InterlacingArray, add_box, interlacing_predecessors
+from macdyn.arrays import InterlacingArray, add_box, interlacing_predecessors, xi, xi_inverse
 from macdyn.classifier import F_quant, f_quant
+from macdyn.errors import InvalidInput
+from macdyn.insertions import TableauPair, check_h_vector
 
 
 def reference_factor_product(num: Counter, den: Counter, q, t):
@@ -137,3 +140,132 @@ def sample_from_table(table, tau, n: int, rng) -> Counter:
         idx = bisect.bisect_left(cum, u)
         out[("tail",) if idx >= len(states) else states[idx]] += 1
     return out
+
+
+# --- the h-RS correspondence through InterlacingArray and xi/xi_inverse ----------
+# The forward and inverse code that the row-level paths of `insertions`
+# replaced, kept verbatim (with the tableau conversions it called) as their
+# differential twin.
+
+def reference_tableau_to_array(rows, depth: int) -> InterlacingArray:
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if not 1 <= x <= depth:
+                raise InvalidInput(f"letter {x} outside alphabet 1..{depth}")
+            if c + 1 < len(row) and row[c + 1] < x:
+                raise InvalidInput("rows of a semistandard tableau must weakly increase")
+            if r + 1 < len(rows) and c < len(rows[r + 1]) and rows[r + 1][c] <= x:
+                raise InvalidInput("columns of a semistandard tableau must strictly increase")
+    if len(rows) > depth:
+        raise InvalidInput(f"tableau has {len(rows)} rows, more than depth {depth}")
+    levels = []
+    for k in range(1, depth + 1):
+        shape = [sum(1 for x in row if x <= k) for row in rows]
+        shape += [0] * (k - len(shape))
+        levels.append(tuple(shape[:k]))
+    return InterlacingArray(tuple(levels))
+
+
+def reference_array_to_tableau(arr: InterlacingArray):
+    if any(c < 0 for row in arr.levels for c in row):
+        raise InvalidInput("tableau correspondence needs nonnegative coordinates")
+    n = arr.depth
+    rows = [[] for _ in range(n)]
+    prev = [0] * n
+    for k in range(1, n + 1):
+        cur = list(arr.row(k)) + [0] * (n - k)
+        for i in range(n):
+            rows[i].extend([k] * (cur[i] - prev[i]))
+        prev = cur
+    return tuple(tuple(r) for r in rows if r)
+
+
+def _reference_donate(rows, k: int, j: int) -> int:
+    if k == 1:
+        return 1
+    return xi(rows[k - 2], rows[k - 1], j)
+
+
+def reference_h_insert_rows(rows, letter: int, h):
+    n = len(rows)
+    j = _reference_donate(rows, letter, h[letter - 1])
+    prev = rows[letter - 1][j - 1]
+    rows[letter - 1][j - 1] += 1
+    moves = [(letter, j)]
+    for k in range(letter + 1, n + 1):
+        if rows[k - 1][j - 1] == prev or j < h[k - 1]:
+            target = _reference_donate(rows, k, j)
+        else:
+            target = j + 1
+        prev = rows[k - 1][target - 1]
+        rows[k - 1][target - 1] += 1
+        moves.append((k, target))
+        j = target
+    return moves
+
+
+def reference_h_rs_forward(word, h) -> TableauPair:
+    h = check_h_vector(h)
+    n = len(h)
+    rows = [[0] * k for k in range(1, n + 1)]
+    q_rows = [[] for _ in range(n)]
+    for step, letter in enumerate(word, start=1):
+        if not 1 <= letter <= n:
+            raise InvalidInput(f"letter {letter} outside alphabet 1..{n}")
+        moves = reference_h_insert_rows(rows, letter, h)
+        q_rows[moves[-1][1] - 1].append(step)
+    arr = InterlacingArray(tuple(tuple(r) for r in rows))
+    p_rows = reference_array_to_tableau(arr)
+    return TableauPair(p_rows, tuple(tuple(r) for r in q_rows if r))
+
+
+def reference_h_rs_inverse(pair: TableauPair, h) -> tuple:
+    h = check_h_vector(h)
+    n = len(h)
+    arr = reference_tableau_to_array(pair.p_rows, n)
+    rows = [list(r) for r in arr.levels]
+    where = {}
+    for r, row in enumerate(pair.q_rows, start=1):
+        for entry in row:
+            where[entry] = r
+    q_shape = [len(r) for r in pair.q_rows]
+    word_rev = []
+    for step in range(pair.size, 0, -1):
+        j = where[step]
+        if q_shape[j - 1] == 0:
+            raise InvalidInput("recording tableau inconsistent with shape")
+        q_shape[j - 1] -= 1
+        k = n
+        while True:
+            rows[k - 1][j - 1] -= 1
+            if j < k and rows[k - 1][j - 1] < rows[k - 1][j]:
+                raise InvalidInput(f"pair not in the image: row {k} breaks at step {step}")
+            if k == 1:
+                if j != 1:
+                    raise InvalidInput("pair not in the image: bad endpoint at level 1")
+                letter = 1
+                break
+            nu_bar, lam = rows[k - 2], rows[k - 1]
+            if j <= k - 1 and lam[j - 1] < nu_bar[j - 1]:
+                k -= 1  # short-range push: the mover below had the same index
+                continue
+            if xi(nu_bar, lam, j) != j:  # j is blocked
+                raise InvalidInput("pair not in the image: moved particle was blocked")
+            hk = h[k - 1]
+            if xi(nu_bar, lam, hk) == j:
+                letter = k
+                break
+            if hk < j:
+                if j == 1:
+                    raise InvalidInput("pair not in the image: no puller available")
+                j = j - 1
+            else:
+                i = xi_inverse(nu_bar, lam, j)
+                if i is None:
+                    raise InvalidInput("pair not in the image: no pusher available")
+                j = i
+            k -= 1
+        word_rev.append(letter)
+    if any(c != 0 for row in rows for c in row):
+        raise InvalidInput("pair not in the image: residue after unwinding")
+    return tuple(reversed(word_rev))

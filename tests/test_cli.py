@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -22,6 +23,15 @@ class TestGroup:
     def test_limit(self, capsys):
         code, _, err = run(capsys, "group", "--N", "6")
         assert code == 2 and "refused" in err
+
+    def test_n5_is_refused_by_default(self, capsys):
+        # group_order(5) has not been seen to finish; without --limit 5 the
+        # CLI must refuse it at once
+        start = time.monotonic()
+        code, out, err = run(capsys, "group", "--N", "5")
+        assert time.monotonic() - start < 5
+        assert code == 2 and out == ""
+        assert "refused" in err and err.count("\n") == 1
 
 
 class TestRsk:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from macdyn.arrays import InterlacingArray, array_to_tableau, enumerate_arrays
+from macdyn.arrays import InterlacingArray, array_to_tableau, enumerate_arrays, tableau_to_array
 from macdyn.errors import InvalidInput, ResourceLimit
 from macdyn.insertions import (
     TableauPair,
@@ -15,6 +15,14 @@ from macdyn.insertions import (
     h_insert_trace,
     h_rs_forward,
     h_rs_inverse,
+)
+
+from helpers import (
+    reference_array_to_tableau,
+    reference_h_insert_rows,
+    reference_h_rs_forward,
+    reference_h_rs_inverse,
+    reference_tableau_to_array,
 )
 
 ROW = lambda n: (1,) * n
@@ -203,6 +211,111 @@ class TestCorrespondence:
                 else:
                     tails[pos] = x
             assert len(pair.p_rows[0]) == len(tails)
+
+
+def h_vectors(n):
+    return list(itertools.product(*(range(1, k + 1) for k in range(1, n + 1))))
+
+
+class TestRowLevelTwin:
+    """The row-level h_rs_forward/h_rs_inverse against the twin that goes
+    through InterlacingArray, array_to_tableau, tableau_to_array and
+    xi/xi_inverse."""
+
+    @staticmethod
+    def assert_same(word, h):
+        pair = h_rs_forward(word, h)
+        assert pair == reference_h_rs_forward(word, h), (word, h)
+        back = h_rs_inverse(pair, h)
+        assert back == reference_h_rs_inverse(pair, h) == word, (word, h)
+
+    def test_every_n3_word_up_to_length_5(self):
+        for h in h_vectors(3):
+            for length in range(6):
+                for word in itertools.product((1, 2, 3), repeat=length):
+                    self.assert_same(word, h)
+
+    @pytest.mark.parametrize("n, per_h, seed", [(4, 120, 41), (5, 12, 51)])
+    def test_random_words(self, n, per_h, seed):
+        rnd = random.Random(seed)
+        for h in h_vectors(n):
+            for _ in range(per_h):
+                word = tuple(rnd.randint(1, n) for _ in range(rnd.randint(0, 10)))
+                self.assert_same(word, h)
+
+    def test_insert_trace_moves_match_the_twin(self):
+        rnd = random.Random(61)
+        for _ in range(500):
+            n = rnd.randint(1, 6)
+            h = tuple(rnd.randint(1, k) for k in range(1, n + 1))
+            arr = InterlacingArray.zeros(n)
+            for _ in range(rnd.randint(0, 12)):
+                arr = h_insert(arr, rnd.randint(1, n), h)
+            letter = rnd.randint(1, n)
+            rows = [list(r) for r in arr.levels]
+            moves = reference_h_insert_rows(rows, letter, h)
+            assert h_insert_trace(arr, letter, h) == (InterlacingArray(tuple(map(tuple, rows))), moves)
+
+    def test_cross_h_inverses(self):
+        # a pair made under one h, unwound under every other
+        for h in h_vectors(3):
+            for word in itertools.product((1, 2, 3), repeat=4):
+                pair = h_rs_forward(word, h)
+                for g in h_vectors(3):
+                    assert h_rs_inverse(pair, g) == reference_h_rs_inverse(pair, g)
+
+    MALFORMED = {
+        "letter-above-N": (((1, 4),), ((1, 2),), (1, 2, 3)),
+        "letter-zero": (((0, 1),), ((1, 2),), (1, 2)),
+        "row-decreases": (((2, 1),), ((1, 2),), (1, 2)),
+        "row-dips": (((1, 2, 1),), ((1, 2, 3),), (1, 2)),
+        "column-not-strict": (((1, 2), (1,)), ((1, 2), (3,)), (1, 2, 3)),
+        "more-than-N-rows": (((1,), (2,), (2,)), ((1,), (2,), (3,)), (1, 2)),
+        "rows-grow": (((1,), (2, 3)), ((1,), (2, 3)), (1, 2, 3)),
+        "rows-grow-depth-2": (((1,), (2, 2)), ((1,), (2, 3)), (1, 2)),
+        "empty-row-above": (((), (1,)), ((), (1,)), (1, 2)),
+        "letter-3-under-h-12": (((1, 3),), ((1, 2),), (1, 2)),
+    }
+
+    @pytest.mark.parametrize("p, q, h", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_p_raises_on_both_paths(self, p, q, h):
+        pair = TableauPair(p, q)
+        for inverse in (h_rs_inverse, reference_h_rs_inverse):
+            with pytest.raises(InvalidInput):
+                inverse(pair, h)
+
+    @pytest.mark.parametrize("p, q", [
+        (((1, 1),), ((1,), (2,))),  # Q's shape is not P's
+        (((1, 1),), ((1, 3),)),  # Q misses 2
+        (((1, 1),), ((2, 1),)),  # a Q row decreases
+        (((1, 1), (2,)), ((2, 3), (1,))),  # a Q column decreases
+    ])
+    def test_malformed_q_is_refused_by_the_pair(self, p, q):
+        with pytest.raises(InvalidInput):
+            TableauPair(p, q)
+
+    def test_malformed_words_and_h_raise_on_both_paths(self):
+        for word, h in [((1, 3), (1, 2)), ((0,), (1,)), ((1,), (1, 3)), ((1,), (2,))]:
+            for forward in (h_rs_forward, reference_h_rs_forward):
+                with pytest.raises(InvalidInput):
+                    forward(word, h)
+
+    def test_tableau_conversions_match_the_twin(self):
+        for depth in range(1, 5):
+            for top in itertools.combinations_with_replacement(range(3, -1, -1), depth):
+                for arr in enumerate_arrays(top, depth):
+                    rows = array_to_tableau(arr)
+                    assert rows == reference_array_to_tableau(arr)
+                    assert tableau_to_array(rows, depth) == reference_tableau_to_array(rows, depth)
+        bad = [(((2, 1),), 2), (((1, 1), (1,)), 2), (((1,), (2, 3)), 3), (((1,), (2,), (3,)), 2),
+               (((1, 5),), 4), (((), (1,)), 2), (((1, 2, 1),), 2)]
+        for rows, depth in bad:
+            for convert in (tableau_to_array, reference_tableau_to_array):
+                with pytest.raises(InvalidInput):
+                    convert(rows, depth)
+        for convert in (array_to_tableau, reference_array_to_tableau):
+            with pytest.raises(InvalidInput):
+                convert(InterlacingArray(((0,), (0, -1))))
 
 
 class TestFMaps:

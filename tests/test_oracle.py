@@ -174,7 +174,9 @@ class TestGibbs:
         assert stats["vacuous"] and stats["pvalue"] == 1.0
 
 
-def test_importing_the_package_leaves_scipy_out():
+def _loaded_by_import(module: str) -> str:
+    """Whether `import macdyn, macdyn.cli` in a fresh interpreter loads
+    `module`, as the text it prints: "True" or "False"."""
     import subprocess
     import sys
     from pathlib import Path
@@ -183,7 +185,15 @@ def test_importing_the_package_leaves_scipy_out():
 
     src = str(Path(macdyn.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import macdyn, macdyn.cli; "
-            "print('scipy' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_scipy_out():
+    assert _loaded_by_import("scipy") == "False"
+
+
+def test_importing_the_package_leaves_numpy_out():
+    assert _loaded_by_import("numpy") == "False"

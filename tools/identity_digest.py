@@ -29,7 +29,14 @@ same script can digest any checkout.  The grid:
   (second-top row, top row) pairs at three points, and an `identity_suite`
   report with small bounds;
 - `macdyn verify --suite transient` and `--suite gibbs` report bytes and
-  exit codes at a fixed seed.
+  exit codes at a fixed seed;
+- the h-RS correspondence: `h_rs_forward` pairs under every h-vector on
+  every word of length <= 5 over {1, 2, 3} and <= 4 over {1..4}, plus 100
+  seeded length-8 words over {1..4}; `h_rs_inverse` of each pair (under
+  every h-vector at N = 3; under its own, row and column insertion at
+  N = 4); a few malformed pairs; `f_h_table(3)`,
+  `f_h_table(4)` and `group_order(4)`; and `macdyn rsk` output bytes
+  (forward, `--inverse`, `--f-map`, `--table --N 3`).
 
 `--dump` writes every hashed line, for diffing two trees whose digests
 differ.  This script is not part of the test suite; it runs in well under
@@ -39,8 +46,12 @@ a minute on one core.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+import random
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -235,6 +246,57 @@ def verify_lines(cli):
             yield f"{' '.join(argv)} exit {code} sha256 {hashlib.sha256(data).hexdigest()}"
 
 
+HRS_SEEDED = 100  # seeded length-8 words over {1..4}
+HRS_MALFORMED = (
+    (((1, 4),), ((1, 2),), (1, 2, 3)),
+    (((2, 1),), ((1, 2),), (1, 2)),
+    (((1, 2, 1),), ((1, 2, 3),), (1, 2)),
+    (((1, 2), (1,)), ((1, 2), (3,)), (1, 2, 3)),
+    (((1,), (2,), (2,)), ((1,), (2,), (3,)), (1, 2)),
+    (((1,), (2, 3)), ((1,), (2, 3)), (1, 2, 3)),
+    (((1, 3),), ((1, 2),), (1, 2)),
+)
+RSK_RUNS = (
+    ["rsk", "--word", "3241", "--h", "1,2,1,3"],
+    ["rsk", "--word", "112332", "--h", "1,2,3"],
+    ["rsk", "--inverse", "--p", "1,1,2;2,3", "--q-tab", "1,3,5;2,4", "--h", "1,2,2"],
+    ["rsk", "--inverse", "--p", "1,3", "--q-tab", "1,2", "--h", "1,2"],
+    ["rsk", "--word", "2413", "--h", "1,1,2,4", "--f-map"],
+    ["rsk", "--table", "--N", "3"],
+)
+
+
+def hrs_lines(ins, cli):
+    rnd = random.Random(4)
+    grids = {
+        3: [w for n in range(6) for w in itertools.product((1, 2, 3), repeat=n)],
+        4: [w for n in range(5) for w in itertools.product((1, 2, 3, 4), repeat=n)]
+        + [tuple(rnd.choices((1, 2, 3, 4), k=8)) for _ in range(HRS_SEEDED)],
+    }
+    for n, grid in grids.items():
+        hs = list(itertools.product(*(range(1, k + 1) for k in range(1, n + 1))))
+        for h in hs:
+            # unwind each pair under every h-vector at N = 3, and under h, row
+            # and column insertion at N = 4
+            inverses = hs if n == 3 else [h, hs[0], hs[-1]]
+            for word in grid:
+                pair = ins.h_rs_forward(word, h)
+                back = [attempt(ins.h_rs_inverse, pair, g) for g in inverses]
+                yield f"{h} {word} {pair.p_rows} {pair.q_rows} {back}"
+    for p, q, h in HRS_MALFORMED:
+        yield f"malformed {p} {q} {h} {attempt(ins.h_rs_inverse, ins.TableauPair(p, q), h)}"
+    for n in (3, 4):
+        yield f"f_h_table({n}) {sorted(ins.f_h_table(n).items())}"
+    yield f"group_order(4) {ins.group_order(4)}"
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        out = Path(tmp) / "out"
+        for argv in RSK_RUNS:  # one is refused; its error line is not hashed
+            code = cli.main(argv + ["--out", str(out)])
+            data = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            yield f"{' '.join(argv)} exit {code} sha256 {hashlib.sha256(data).hexdigest()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
@@ -244,6 +306,7 @@ def main(argv=None) -> int:
     from macdyn import arrays
     from macdyn import classifier as cl
     from macdyn import cli
+    from macdyn import insertions as ins
     from macdyn import oracle as orc
     from macdyn import simulator as sim
     from macdyn.macdonald import MacParams
@@ -263,6 +326,7 @@ def main(argv=None) -> int:
         ("cli", cli_lines(cli)),
         ("oracles", oracle_lines(orc, arrays, MacParams)),
         ("verify", verify_lines(cli)),
+        ("h-rs", hrs_lines(ins, cli)),
     ):
         for line in lines:
             digest.update(line.encode() + b"\n")
