@@ -12,15 +12,27 @@ nearest-neighbor 'dynamics' on the slice is a triple (w, c, r):
 These satisfy a two-diagonal linear system with coefficients T_i and S_j; the
 system is solved by forward substitution, never by a generic solver.  Schur
 parameters (q == t) turn every T and S into a 0/1 indicator, and t == 0 has
-dedicated short formulas; the general case is a finite product over exponent
-pairs with symbolic cancellation, evaluated by `macdonald.factor_product`.
+dedicated short formulas; the general case is a finite product of factors
+1 - q^a t^b.  Its net exponent map {(a, b): mult} is counted straight into
+one dict (`_S_exponents`, `_T_exponents`: numerator keys first, cancelled
+keys kept at multiplicity 0) and evaluated by `macdonald.factor_product`;
+on float parameters each factor comes from the memo that the `MacParams`
+owns (`MacParams.factors`, at most 2^15 entries).
+
+Building a `SliceContext` checks its rows in one pass: when both are tuples
+of ints with lam_{j+1} <= nu_bar_j <= lam_j for every j, they are signatures
+that interlace, and the same pass collects the free indices and pushers.
+Any other input goes through `check_signature` and `interlaces` step by
+step, which convert other sequences and raise what each failure raises.
 
 Each slice evaluates its coefficients once: `SliceContext.S` and
-`SliceContext.T` are the cached tuples (S_1..S_k) and (T_1..T_k).  S_j is
-computed only at free j and T_i only at pushers i (i + 1 free); every other
-entry is the typed zero, since S_j = 0 when j is blocked and T_i = 0 unless
-i + 1 is free.  `fundamental`, `solve_r`, `solve_w`, `check_system` and
-`decompose` read these tuples; `S_quant` and `T_quant` evaluate one index.
+`SliceContext.T` are the cached tuples (S_1..S_k) and (T_1..T_k), each
+evaluated in one call.  S_j is computed only at free j and T_i only at
+pushers i (i + 1 free); every other entry is the typed zero, since S_j = 0
+when j is blocked and T_i = 0 unless i + 1 is free.  `fundamental` (and its
+list form `fundamental_rows`, which the simulator reads), `solve_r`,
+`solve_w`, `check_system` and `decompose` read these tuples; `S_quant` and
+`T_quant` evaluate one index.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from .arrays import (
     xi_inverse,
 )
 from .errors import Infeasible, InvalidInput, UnsupportedBasis
-from .macdonald import MacParams, factor_product, net_exponents
+from .macdonald import MacParams, factor_product
 
 _REL_TOL = 1e-9
 
@@ -70,15 +82,20 @@ class SliceContext:
     params: MacParams
 
     def __post_init__(self):
-        object.__setattr__(self, "nu_bar", check_signature(self.nu_bar))
-        object.__setattr__(self, "lam", check_signature(self.lam))
-        if not interlaces(self.nu_bar, self.lam):
-            raise InvalidInput(f"rows do not interlace: {self.nu_bar} vs {self.lam}")
-        free = free_indices(self.nu_bar, self.lam)
-        object.__setattr__(self, "free", free)
         # pushers: the indices j with j+1 free, the lower particles whose
         # move can propagate
-        object.__setattr__(self, "pushers", tuple(m - 1 for m in free if m >= 2))
+        free_pushers = _interlacing_free(self.nu_bar, self.lam)
+        if free_pushers is None:
+            # the step-by-step checks convert other sequences and raise what
+            # each failure has always raised
+            object.__setattr__(self, "nu_bar", check_signature(self.nu_bar))
+            object.__setattr__(self, "lam", check_signature(self.lam))
+            if not interlaces(self.nu_bar, self.lam):
+                raise InvalidInput(f"rows do not interlace: {self.nu_bar} vs {self.lam}")
+            free = free_indices(self.nu_bar, self.lam)
+            free_pushers = free, tuple(m - 1 for m in free if m >= 2)
+        object.__setattr__(self, "free", free_pushers[0])
+        object.__setattr__(self, "pushers", free_pushers[1])
 
     @property
     def k(self) -> int:
@@ -91,17 +108,31 @@ class SliceContext:
     @_cached
     def S(self) -> tuple:
         """(S_1, ..., S_k); S_j is evaluated at free j only, blocked j give 0."""
-        out = [0 * self.params.one()] * self.k
-        for m in self.free:
-            out[m - 1] = S_quant(self, m)
-        return tuple(out)
+        return self._values(self.free, S_quant, _S_exponents)
 
     @_cached
     def T(self) -> tuple:
         """(T_1, ..., T_k); T_i is evaluated at pushers only, the others give 0."""
-        out = [0 * self.params.one()] * self.k
-        for j in self.pushers:
-            out[j - 1] = T_quant(self, j)
+        return self._values(self.pushers, T_quant, _T_exponents)
+
+    def _values(self, indices, quant, exponents) -> tuple:
+        """A k-tuple holding quant at the given indices and the typed zero
+        elsewhere, evaluated in one pass; each index is one of quant's
+        nonzero indices, where Schur mode gives 1."""
+        params = self.params
+        one = params.one()
+        out = [0 * one] * len(self.lam)
+        mode = params.mode
+        if mode == "schur":
+            for i in indices:
+                out[i - 1] = one
+        elif mode == "general":
+            nb, lam, q, t, memo = self.nu_bar, self.lam, params.q, params.t, params.factors
+            for i in indices:
+                out[i - 1] = factor_product(exponents(nb, lam, i), q, t, memo)
+        else:
+            for i in indices:
+                out[i - 1] = quant(self, i)
         return tuple(out)
 
     def xi(self, i: int) -> int:
@@ -109,6 +140,31 @@ class SliceContext:
 
     def xi_inverse(self, m: int):
         return xi_inverse(self.nu_bar, self.lam, m)
+
+
+def _interlacing_free(nu_bar, lam):
+    """(free indices, pushers) of the slice from one pass over the rows, or
+    None unless both rows are tuples of ints, of lengths k - 1 and k, with
+    lam_{j+1} <= nu_bar_j <= lam_j for every j.  That chain makes both rows
+    signatures and makes them interlace."""
+    if type(nu_bar) is not tuple or type(lam) is not tuple or len(nu_bar) + 1 != len(lam):
+        return None
+    hi = lam[0]
+    if type(hi) is not int:
+        return None
+    free = [1]
+    pushers = []
+    j = 1
+    for x in nu_bar:
+        lo = lam[j]
+        if type(x) is not int or type(lo) is not int or not lo <= x <= hi:
+            return None
+        if lo < x:  # j + 1 is free
+            free.append(j + 1)
+            pushers.append(j)
+        hi = lo
+        j += 1
+    return tuple(free), tuple(pushers)
 
 
 def T_quant(ctx: SliceContext, i: int):
@@ -128,15 +184,7 @@ def T_quant(ctx: SliceContext, i: int):
         if i >= 2:
             val *= 1 - q ** (nb[i - 2] - nb[i - 1] + 1)
         return val / (1 - q ** (lam[i - 1] - nb[i - 1] + 1))
-    num = [(lam[i - 1] - nb[i - 1], 1), (nb[i - 1] - lam[i], 0)]
-    den = [(lam[i - 1] - nb[i - 1] + 1, 0), (nb[i - 1] - 1 - lam[i], 1)]
-    for r in range(1, i):
-        num += ((lam[r - 1] - nb[i - 1], i - r + 1), (nb[r - 1] - nb[i - 1] + 1, i - r - 1))
-        den += ((lam[r - 1] - nb[i - 1] + 1, i - r), (nb[r - 1] - nb[i - 1], i - r))
-    for s in range(i + 1, k):
-        num += ((nb[i - 1] - nb[s - 1] - 1, s - i + 1), (nb[i - 1] - lam[s], s - i))
-        den += ((nb[i - 1] - nb[s - 1], s - i), (nb[i - 1] - lam[s] - 1, s - i + 1))
-    return factor_product(net_exponents(num, den), q, t)
+    return factor_product(_T_exponents(nb, lam, i), q, t, ctx.params.factors)
 
 
 def S_quant(ctx: SliceContext, j: int):
@@ -157,15 +205,71 @@ def S_quant(ctx: SliceContext, j: int):
             val *= 1 - q ** (lam[j - 1] - lam[j] + 1)
             val /= 1 - q ** (lam[j - 1] - nb[j - 1] + 1)
         return val
-    num = []
-    den = []
+    return factor_product(_S_exponents(nb, lam, j), q, t, ctx.params.factors)
+
+
+# The general T_i and S_j as net exponent maps {(a, b): mult} of their factors
+# (1 - q^a t^b): the numerator keys of the product formula are counted up,
+# then its denominator keys counted down, straight into one dict.  Keys keep
+# their first appearance, numerator keys first, and cancelled keys stay with
+# multiplicity 0, the map `net_exponents` makes of the two factor lists.
+
+def _T_exponents(nb, lam, i: int) -> dict:
+    x = nb[i - 1]
+    net = {(lam[i - 1] - x, 1): 1, (x - lam[i], 0): 1}
+    get = net.get
+    for r in range(1, i):
+        key = (lam[r - 1] - x, i - r + 1)
+        net[key] = get(key, 0) + 1
+        key = (nb[r - 1] - x + 1, i - r - 1)
+        net[key] = get(key, 0) + 1
+    for s in range(i + 1, len(lam)):
+        key = (x - nb[s - 1] - 1, s - i + 1)
+        net[key] = get(key, 0) + 1
+        key = (x - lam[s], s - i)
+        net[key] = get(key, 0) + 1
+    key = (lam[i - 1] - x + 1, 0)
+    net[key] = get(key, 0) - 1
+    key = (x - 1 - lam[i], 1)
+    net[key] = get(key, 0) - 1
+    for r in range(1, i):
+        key = (lam[r - 1] - x + 1, i - r)
+        net[key] = get(key, 0) - 1
+        key = (nb[r - 1] - x, i - r)
+        net[key] = get(key, 0) - 1
+    for s in range(i + 1, len(lam)):
+        key = (x - nb[s - 1], s - i)
+        net[key] = get(key, 0) - 1
+        key = (x - lam[s] - 1, s - i + 1)
+        net[key] = get(key, 0) - 1
+    return net
+
+
+def _S_exponents(nb, lam, j: int) -> dict:
+    x = lam[j - 1]
+    net: dict = {}
+    get = net.get
     for r in range(1, j):
-        num += ((nb[r - 1] - lam[j - 1], j - r - 1), (lam[r - 1] - lam[j - 1] - 1, j - r + 1))
-        den += ((nb[r - 1] - lam[j - 1] - 1, j - r), (lam[r - 1] - lam[j - 1], j - r))
-    for s in range(j, k):
-        num += ((lam[j - 1] - lam[s] + 1, s - j), (lam[j - 1] - nb[s - 1], s - j + 1))
-        den += ((lam[j - 1] - lam[s], s - j + 1), (lam[j - 1] - nb[s - 1] + 1, s - j))
-    return factor_product(net_exponents(num, den), q, t)
+        key = (nb[r - 1] - x, j - r - 1)
+        net[key] = get(key, 0) + 1
+        key = (lam[r - 1] - x - 1, j - r + 1)
+        net[key] = get(key, 0) + 1
+    for s in range(j, len(lam)):
+        key = (x - lam[s] + 1, s - j)
+        net[key] = get(key, 0) + 1
+        key = (x - nb[s - 1], s - j + 1)
+        net[key] = get(key, 0) + 1
+    for r in range(1, j):
+        key = (nb[r - 1] - x - 1, j - r)
+        net[key] = get(key, 0) - 1
+        key = (lam[r - 1] - x, j - r)
+        net[key] = get(key, 0) - 1
+    for s in range(j, len(lam)):
+        key = (x - lam[s], s - j + 1)
+        net[key] = get(key, 0) - 1
+        key = (x - nb[s - 1] + 1, s - j)
+        net[key] = get(key, 0) - 1
+    return net
 
 
 def F_quant(ctx: SliceContext, j: int):
@@ -347,35 +451,43 @@ def solve_w(ctx: SliceContext, c: dict, r: dict) -> dict:
 
 def fundamental(kind: FundamentalKind, ctx: SliceContext) -> SliceSolution:
     """The closed-form fundamental solution of the given kind on the slice."""
+    w, c, r = fundamental_rows(kind, ctx)
+    return SliceSolution(
+        w=dict(zip(ctx.free, w)), c=dict(zip(ctx.pushers, c)), r=dict(zip(ctx.pushers, r))
+    )
+
+
+def fundamental_rows(kind: FundamentalKind, ctx: SliceContext) -> tuple[list, list, list]:
+    """The fundamental solution of the given kind as value lists: w in the
+    order of ctx.free, c and r in the order of ctx.pushers."""
     kind.validate_level(ctx.k)
-    free = ctx.free
-    pushers = ctx.pushers
+    free, pushers, S = ctx.free, ctx.pushers, ctx.S
     one = ctx.params.one()
     zero = 0 * one
     h = kind.h
     if kind.tag == "rsk":
+        T = ctx.T
         target = ctx.xi(h)
-        w = {m: (one if m == target else zero) for m in free}
+        w = [one if m == target else zero for m in free]
         # r_j = (S_1 + ... + S_j - T_1 - ... - T_{j-1} - [h <= j]) / T_j; the
         # prefix sums start at 0 and add in index order, as sum() does
-        S_sums = list(accumulate(ctx.S, initial=0))
-        T_sums = list(accumulate(ctx.T, initial=0))
-        r = {
-            j: (S_sums[j] - T_sums[j - 1] - (one if h <= j else zero)) / ctx.T[j - 1]
-            for j in pushers
-        }
-        return SliceSolution(w=w, c={j: one for j in pushers}, r=r)
-    w = {m: ctx.S[m - 1] for m in free}
-    c = {j: zero for j in pushers}
-    r = {j: zero for j in pushers}
-    if kind.tag == "r" and h in pushers:
-        w[ctx.xi(h)] = w[ctx.xi(h)] - ctx.T[h - 1]
-        c[h] = one
-        r[h] = one
-    elif kind.tag == "l" and h in pushers:  # left-pulling
-        w[h + 1] = w[h + 1] - ctx.T[h - 1]
-        c[h] = one
-    return SliceSolution(w=w, c=c, r=r)
+        S_sums = list(accumulate(S, initial=0))
+        T_sums = list(accumulate(T, initial=0))
+        r = [(S_sums[j] - T_sums[j - 1] - (one if h <= j else zero)) / T[j - 1] for j in pushers]
+        return w, [one] * len(pushers), r
+    w = [S[m - 1] for m in free]
+    c = [zero] * len(pushers)
+    r = [zero] * len(pushers)
+    if kind.tag != "pb" and h in pushers:
+        # pusher h is pushers[i]: xi(h) = free[i] and h + 1 = free[i + 1]
+        i = pushers.index(h)
+        c[i] = one
+        if kind.tag == "r":
+            w[i] = w[i] - ctx.T[h - 1]
+            r[i] = one
+        else:  # left-pulling
+            w[i + 1] = w[i + 1] - ctx.T[h - 1]
+    return w, c, r
 
 
 def check_system(ctx: SliceContext, sol: SliceSolution, tol=None):
@@ -517,7 +629,13 @@ def positivity_scan(
     families: Sequence[str] = ("pb", "rsk", "r", "l"),
 ) -> ScanReport:
     """Scan every fundamental kind over all slices with levels <= max_level and
-    coordinates in [0, max_coord]; record the first dishonest slice per kind."""
+    coordinates in [0, max_coord]; record the first dishonest slice per kind.
+
+    In Schur mode every S_j and T_i is the indicator of a free index, so a
+    fundamental solution, and its honesty, depend on the level and the free
+    set alone: a slice whose free set its level has already shown is
+    skipped.  Slices are walked in the same order either way, so the first
+    witness of each kind is the same."""
     report = ScanReport(params=params, max_level=max_level, max_coord=max_coord)
     kinds_by_level: dict[int, list[tuple[str, FundamentalKind]]] = {}
     for k in range(2, max_level + 1):
@@ -525,9 +643,15 @@ def positivity_scan(
         kinds_by_level[k] = kinds
         for name, kind in kinds:
             report.results.setdefault((name, k), None)
+    schur = params.mode == "schur"
     for k in range(2, max_level + 1):
+        scanned = set()  # the free sets of level k seen so far, in Schur mode
         for nb, lam in iter_slices(k, max_coord):
             ctx = SliceContext(nb, lam, params)
+            if schur:
+                if ctx.free in scanned:
+                    continue
+                scanned.add(ctx.free)
             for name, kind in kinds_by_level[k]:
                 if report.results[(name, k)] is not None:
                     continue

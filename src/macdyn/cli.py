@@ -2,7 +2,7 @@
 
 All randomness derives from --seed; identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 validation error, 2 invariant or verification
-failure.
+failure or a computation refused by its size limit (reported as "refused: ...").
 """
 
 from __future__ import annotations
@@ -376,8 +376,11 @@ def main(argv=None) -> int:
     except (InvalidInput, Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvariantViolation, ResourceLimit) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except ResourceLimit as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
 
 

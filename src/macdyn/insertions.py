@@ -306,6 +306,6 @@ def group_order(n: int, limit: int = 4) -> int:
     if n < 1:
         raise InvalidInput("n must be positive")
     if n > limit:
-        raise ResourceLimit(f"group order on degree {n}! refused (limit {limit}!)")
+        raise ResourceLimit(f"group order on degree {n}! is over the limit {limit}!")
     index = {w: i for i, w in enumerate(permutation_words(n))}
     return _bsgs_order([tuple(index[w] for w in images) for images in f_h_table(n).values()])

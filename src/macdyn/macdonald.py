@@ -13,7 +13,11 @@ Every such product goes through one kernel, `factor_product`, which takes
 the net exponent map {(a, b): multiplicity} (`net_exponents` builds it from
 numerator and denominator factor lists).  On exact parameters it multiplies
 integer numerators and denominators and builds a single Fraction at the
-end; on floats it multiplies the factors in the map's order.
+end; on floats it multiplies the factors in the map's order, looking each
+factor 1 - q^a t^b up in a memo keyed by (a, b).  The memo is owned by the
+`MacParams` (`MacParams.factors`; exact parameters have none), holds at most
+_FACTOR_MEMO_SIZE = 2^15 nonzero factors (a factor past the bound is
+recomputed on every use) and is freed with the params.
 
 Polynomial values are memoized by a `MacdonaldP` owner, for one drift
 vector and parameter point, as long as it lives; there is no process-wide
@@ -41,6 +45,7 @@ from .arrays import (
 from .errors import BlockedMove, InvalidInput
 
 _EXACT_TYPES = (int, Fraction)
+_FACTOR_MEMO_SIZE = 1 << 15  # entries of a float factor memo; later ones are recomputed on use
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,14 @@ class MacParams:
     def one(self):
         return self._one
 
+    @cached_property
+    def factors(self) -> dict | None:
+        """Memo {(a, b): 1 - q^a t^b} of the float factors that
+        `factor_product` evaluated at these parameters, at most
+        _FACTOR_MEMO_SIZE entries; None for exact parameters, which are
+        evaluated fraction-free."""
+        return None if self.is_exact else {}
+
 
 SCHUR = MacParams(0, 0)
 
@@ -97,7 +110,7 @@ def net_exponents(num, den) -> dict:
     return net
 
 
-def factor_product(net: dict, q, t):
+def factor_product(net: dict, q, t, memo: dict | None = None):
     """prod (1 - q^a t^b)^mult over the net exponent map {(a, b): mult}.
 
     Common exponent pairs cancel in the map before evaluation, so
@@ -108,8 +121,14 @@ def factor_product(net: dict, q, t):
     Exact parameters are evaluated fraction-free: with q = qn/qd and
     t = tn/td every factor is an integer ratio (a negative exponent swaps
     numerator and denominator), so one Fraction is built at the end.
+
+    A memo, as `MacParams.factors` gives one, marks inexact parameters: the
+    float path then looks factors up in it by (a, b) and enters a nonzero
+    one while it holds fewer than _FACTOR_MEMO_SIZE entries.  memo must
+    belong to this (q, t).  Without one, the types of q and t choose the
+    path and every factor is computed.
     """
-    if isinstance(q, _EXACT_TYPES) and isinstance(t, _EXACT_TYPES):
+    if memo is None and isinstance(q, _EXACT_TYPES) and isinstance(t, _EXACT_TYPES):
         qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
         num = den = 1
         for (a, b), mult in net.items():
@@ -131,20 +150,28 @@ def factor_product(net: dict, q, t):
                 num *= xd ** -mult
                 den *= (xd - xn) ** -mult
         return Fraction(num, den)
+    if memo is None:
+        memo = {}
+    get = memo.get
     result = 1.0
-    for (a, b), mult in net.items():
+    for key, mult in net.items():
         if not mult:
             continue
-        factor = 1.0 - q ** a * t ** b
-        if factor == 0:
-            if mult > 0:
-                return 0.0
-            raise ZeroDivisionError(f"vanishing denominator factor (1 - q^{a} t^{b})")
+        factor = get(key)
+        if factor is None:  # vanishing factors are never entered
+            a, b = key
+            factor = 1.0 - q ** a * t ** b
+            if factor == 0:
+                if mult > 0:
+                    return 0.0
+                raise ZeroDivisionError(f"vanishing denominator factor (1 - q^{a} t^{b})")
+            if len(memo) < _FACTOR_MEMO_SIZE:
+                memo[key] = factor
         result *= factor if mult == 1 else factor ** mult
     return result
 
 
-def _pochhammer_ledger(entries, q, t):
+def _pochhammer_ledger(entries, params: MacParams):
     """Evaluate prod_i ((q^{a_i} t^{b_i}; q)_inf)^{s_i} given that the signed
     entries telescope to a finite product of (1 - q^x t^y) factors.
 
@@ -175,7 +202,7 @@ def _pochhammer_ledger(entries, q, t):
                 for e in range(x, xs[pos + 1]):
                     part[(e, b)] = running
     num.update(den)
-    return factor_product(num, q, t)
+    return factor_product(num, params.q, params.t, params.factors)
 
 
 def _f_entries(a: int, b: int, sign: int):
@@ -213,7 +240,7 @@ def branch_psi(kappa: Sequence[int], nu: Sequence[int], params: MacParams):
                 entries.extend(_f_entries(nu[i - 1] - nu[j], b, +1))
                 entries.extend(_f_entries(nu[i - 1] - kappa[j - 1], b, -1))
                 entries.extend(_f_entries(kappa[i - 1] - nu[j], b, -1))
-        return _pochhammer_ledger(entries, params.q, params.t)
+        return _pochhammer_ledger(entries, params)
     if len(kappa) == len(nu):
         if not horizontal_strip(kappa, nu):
             return 0 * params.one()
@@ -234,7 +261,6 @@ def branch_phi(kappa: Sequence[int], nu: Sequence[int], params: MacParams):
     """
     kappa = check_signature(kappa)
     nu = check_signature(nu)
-    q, t = params.q, params.t
     if len(kappa) == len(nu) - 1:
         if not interlaces(kappa, nu):
             return 0 * params.one()
@@ -260,7 +286,7 @@ def branch_phi(kappa: Sequence[int], nu: Sequence[int], params: MacParams):
             entries.extend(_f_entries(kap[i - 1] - kap[j], b, +1))
             entries.extend(_f_entries(new[i - 1] - kap[j - 1], b, -1))
             entries.extend(_f_entries(kap[i - 1] - new[j], b, -1))
-    return _pochhammer_ledger(entries, q, t)
+    return _pochhammer_ledger(entries, params)
 
 
 def psi_prime_vertical(mu: Sequence[int], lam: Sequence[int], params: MacParams):
@@ -284,7 +310,7 @@ def psi_prime_vertical(mu: Sequence[int], lam: Sequence[int], params: MacParams)
                 continue
             num += ((mu[i - 1] - mu[j - 1], j - i - 1), (lam[i - 1] - lam[j - 1], j - i + 1))
             den += ((mu[i - 1] - mu[j - 1], j - i), (lam[i - 1] - lam[j - 1], j - i))
-    return factor_product(net_exponents(num, den), params.q, params.t)
+    return factor_product(net_exponents(num, den), params.q, params.t, params.factors)
 
 
 def psi_prime_one_box(mu: Sequence[int], j: int, params: MacParams):
@@ -302,7 +328,7 @@ def psi_prime_one_box(mu: Sequence[int], j: int, params: MacParams):
         d = mu[i - 1] - mu[j - 1]
         num += ((d, j - i - 1), (d - 1, j - i + 1))
         den += ((d, j - i), (d - 1, j - i))
-    return factor_product(net_exponents(num, den), params.q, params.t)
+    return factor_product(net_exponents(num, den), params.q, params.t, params.factors)
 
 
 # --- Macdonald polynomial evaluation ------------------------------------------

@@ -50,13 +50,14 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
-from .arrays import InterlacingArray, interlaces, xi
+from .arrays import InterlacingArray, interlaces
 from .classifier import (
     F_quant,
     SliceContext,
     SliceSolution,
     f_quant,
     fundamental,
+    fundamental_rows,
     left_pull,
     mix,
     pb,
@@ -141,6 +142,12 @@ class DynamicsSpec:
         freed with the spec.  A spec is frozen, so its tables never go stale."""
         return _DynamicsTables()
 
+    @cached_property
+    def _kinds(self) -> tuple:
+        """The fundamental kind of each level k at index k - 1, or None where
+        the recipe is not one; level 1 is pb for every recipe."""
+        return (pb(),) + tuple(_level_kind(self, k) for k in range(2, self.depth + 1))
+
 
 def _level_kind(spec: DynamicsSpec, k: int):
     if spec.recipe == "pb":
@@ -180,9 +187,7 @@ def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
 
 def _solution(spec: DynamicsSpec, k: int, ctx: SliceContext) -> SliceSolution:
     # the components of a mixing share ctx, so S and T are evaluated once per slice
-    if k == 1:
-        return fundamental(pb(), ctx)  # every recipe jumps at rate a_1 here
-    kind = _level_kind(spec, k)
+    kind = spec._kinds[k - 1]
     if kind is not None:
         return fundamental(kind, ctx)
     if spec.recipe == "oconnell-pei-nn":
@@ -250,11 +255,21 @@ def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
 
 def _nearest_neighbor_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
     """Slice data of a (w, c, r) dynamics: pusher j pushes to xi(j) with
-    probability r_j and pulls j + 1 with probability c_j - r_j."""
-    sol = slice_solution(spec, k, nu_bar, lam)
+    probability r_j and pulls j + 1 with probability c_j - r_j.  Every rate
+    and probability is checked for honesty."""
+    ctx = SliceContext(nu_bar, lam, spec.params)
+    free, pushers = ctx.free, ctx.pushers
+    kind = spec._kinds[k - 1]
+    if kind is not None:
+        w, c, r = fundamental_rows(kind, ctx)
+    else:
+        sol = _solution(spec, k, ctx)
+        w = [sol.w[m] for m in free]
+        c = [sol.c[j] for j in pushers]
+        r = [sol.r[j] for j in pushers]
     a_k = float(spec.a[k - 1])
     entries = []
-    for m, v in sorted(sol.w.items()):
+    for m, v in zip(free, w):
         v = float(v)
         if v < -_PROB_TOL:
             raise InvariantViolation(
@@ -264,13 +279,13 @@ def _nearest_neighbor_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tupl
         if v > 0:
             entries.append((k, m, a_k * v))
     branch = [()] * (k - 1)
-    for j in sol.c:
-        cj, rj = float(sol.c[j]), float(sol.r[j])
+    # xi(j) of a pusher j is the free index next below j + 1
+    for j, target, cj, rj in zip(pushers, free, c, r):
+        cj, rj = float(cj), float(rj)
         if rj < -_PROB_TOL or cj - rj < -_PROB_TOL or cj > 1 + _PROB_TOL:
             raise InvariantViolation(
                 f"triggered-move probabilities outside [0,1] at level {k}: c={cj}, r={rj}"
             )
-        target = xi(nu_bar, lam, j)
         outcomes = []
         if rj > 0:
             outcomes.append((rj, target, "long_push" if target == j else "donated"))

@@ -1,6 +1,7 @@
 """Reference code that only the tests use: independent cross-checks of the
-package and the reference twins of its fast factor-product kernel and of
-its row-level h-RS correspondence."""
+package and the reference twins of its fast factor-product kernel, of the
+general S_j and T_i, of the positivity scan and of its row-level h-RS
+correspondence."""
 
 import bisect
 import math
@@ -9,7 +10,15 @@ from fractions import Fraction
 
 from macdyn import macdonald as md
 from macdyn.arrays import InterlacingArray, add_box, interlacing_predecessors, xi, xi_inverse
-from macdyn.classifier import F_quant, f_quant
+from macdyn.classifier import (
+    F_quant,
+    ScanReport,
+    SliceContext,
+    f_quant,
+    fundamental,
+    fundamental_kinds,
+    iter_slices,
+)
 from macdyn.errors import InvalidInput
 from macdyn.insertions import TableauPair, check_h_vector
 
@@ -33,6 +42,64 @@ def reference_factor_product(num: Counter, den: Counter, q, t):
             raise ZeroDivisionError(f"vanishing denominator factor (1 - q^{a} t^{b})")
         result *= factor ** mult
     return result
+
+
+# --- the general T_i and S_j through factor lists -------------------------------
+# The evaluation that the direct net-map builders and the factor memo of
+# `classifier` replaced: numerator and denominator factor lists, joined by
+# `net_exponents` and multiplied by `factor_product` without a memo.
+
+def reference_T_general(nb, lam, i: int, q, t):
+    k = len(lam)
+    num = [(lam[i - 1] - nb[i - 1], 1), (nb[i - 1] - lam[i], 0)]
+    den = [(lam[i - 1] - nb[i - 1] + 1, 0), (nb[i - 1] - 1 - lam[i], 1)]
+    for r in range(1, i):
+        num += ((lam[r - 1] - nb[i - 1], i - r + 1), (nb[r - 1] - nb[i - 1] + 1, i - r - 1))
+        den += ((lam[r - 1] - nb[i - 1] + 1, i - r), (nb[r - 1] - nb[i - 1], i - r))
+    for s in range(i + 1, k):
+        num += ((nb[i - 1] - nb[s - 1] - 1, s - i + 1), (nb[i - 1] - lam[s], s - i))
+        den += ((nb[i - 1] - nb[s - 1], s - i), (nb[i - 1] - lam[s] - 1, s - i + 1))
+    return md.factor_product(md.net_exponents(num, den), q, t)
+
+
+def reference_S_general(nb, lam, j: int, q, t):
+    k = len(lam)
+    num = []
+    den = []
+    for r in range(1, j):
+        num += ((nb[r - 1] - lam[j - 1], j - r - 1), (lam[r - 1] - lam[j - 1] - 1, j - r + 1))
+        den += ((nb[r - 1] - lam[j - 1] - 1, j - r), (lam[r - 1] - lam[j - 1], j - r))
+    for s in range(j, k):
+        num += ((lam[j - 1] - lam[s] + 1, s - j), (lam[j - 1] - nb[s - 1], s - j + 1))
+        den += ((lam[j - 1] - lam[s], s - j + 1), (lam[j - 1] - nb[s - 1] + 1, s - j))
+    return md.factor_product(md.net_exponents(num, den), q, t)
+
+
+def reference_positivity_scan(params, max_level: int, max_coord: int,
+                              families=("pb", "rsk", "r", "l")) -> ScanReport:
+    """The positivity scan that solves every slice, with no skipping of
+    repeated free sets in Schur mode; the twin of `positivity_scan`."""
+    report = ScanReport(params=params, max_level=max_level, max_coord=max_coord)
+    kinds_by_level = {}
+    for k in range(2, max_level + 1):
+        kinds = [(str(kind), kind) for kind in fundamental_kinds(k) if kind.tag in families]
+        kinds_by_level[k] = kinds
+        for name, kind in kinds:
+            report.results.setdefault((name, k), None)
+    for k in range(2, max_level + 1):
+        for nb, lam in iter_slices(k, max_coord):
+            ctx = SliceContext(nb, lam, params)
+            for name, kind in kinds_by_level[k]:
+                if report.results[(name, k)] is not None:
+                    continue
+                bad = fundamental(kind, ctx).honesty_violations()
+                if bad:
+                    report.results[(name, k)] = {
+                        "nu_bar": nb,
+                        "lam": lam,
+                        "violations": [(n, i, str(v)) for n, i, v in bad],
+                    }
+    return report
 
 
 def insertion_push_probabilities(ctx, j: int) -> list:

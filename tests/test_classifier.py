@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from macdyn import classifier as cl
+from macdyn.arrays import free_indices
 from macdyn.classifier import (
     F_quant,
     SliceContext,
@@ -12,6 +15,7 @@ from macdyn.classifier import (
     decompose,
     f_quant,
     fundamental,
+    fundamental_kinds,
     iter_slices,
     left_pull,
     mix,
@@ -24,6 +28,8 @@ from macdyn.classifier import (
 )
 from macdyn.errors import Infeasible, InvalidInput, UnsupportedBasis
 from macdyn.macdonald import MacParams, branch_psi, psi_prime_one_box
+
+from helpers import reference_positivity_scan, reference_S_general, reference_T_general
 
 QT = MacParams(F(1, 2), F(1, 3))
 QW = MacParams(F(1, 2), 0)
@@ -165,6 +171,110 @@ class TestSliceTuples:
                         sums -= sum(T_quant(ctx, i) for i in range(1, j))
                         sums -= one if h <= j else 0 * one
                         assert _bits(sol.r[j]) == _bits(sums / T_quant(ctx, j))
+
+
+class TestSliceContextChecks:
+    """The one-pass row check and the step-by-step checks it falls back to."""
+
+    @pytest.mark.parametrize("nb, lam, exc, message", [
+        ((1, 2), (3, 2, 0), InvalidInput, "not weakly decreasing: (1, 2)"),
+        ((2, 1), (1, 3, 0), InvalidInput, "not weakly decreasing: (1, 3, 0)"),
+        ((3, 1), (2, 1, 0), InvalidInput, "rows do not interlace: (3, 1) vs (2, 1, 0)"),
+        ((2, 0), (3, 1, 1), InvalidInput, "rows do not interlace: (2, 0) vs (3, 1, 1)"),
+        ((2,), (3, 2, 0), InvalidInput, "length mismatch: |mu|=1, |lambda|=3"),
+        ((2, 1, 0), (3, 2), InvalidInput, "length mismatch: |mu|=3, |lambda|=2"),
+        ((), (), InvalidInput, "length mismatch: |mu|=0, |lambda|=0"),
+        (("a",), (1, 0), ValueError, "invalid literal for int() with base 10: 'a'"),
+        ((2, 1), (3, 2, "x"), ValueError, "invalid literal for int() with base 10: 'x'"),
+        ((float("nan"),), (1, 0), ValueError, "cannot convert float NaN to integer"),
+        ((None,), (1, 0), TypeError, None),  # the message int(None) gives
+    ], ids=repr)
+    def test_refusals_keep_their_class_and_message(self, nb, lam, exc, message):
+        if message is None:
+            with pytest.raises(TypeError) as want:
+                int(None)
+            message = str(want.value)
+        with pytest.raises(exc) as info:
+            SliceContext(nb, lam, QT)
+        assert type(info.value) is exc and str(info.value) == message
+
+    @pytest.mark.parametrize("nb, lam, rows", [
+        ((1.5,), (2, 0), ((1,), (2, 0))),
+        ([1], [2, 0], ((1,), (2, 0))),
+        ((True,), (1, 0), ((1,), (1, 0))),
+        ((np.int64(3), 1), (4, np.int64(2), 0), ((3, 1), (4, 2, 0))),
+    ], ids=repr)
+    def test_other_rows_are_converted_to_int_tuples(self, nb, lam, rows):
+        ctx = SliceContext(nb, lam, QT)
+        assert (ctx.nu_bar, ctx.lam) == rows
+        assert all(type(c) is int for c in ctx.nu_bar + ctx.lam)
+        assert ctx.free == free_indices(*rows)
+
+    def test_free_indices_and_pushers_match_the_array_helpers(self):
+        for k in range(1, 6):
+            for nb, lam in iter_slices(k, 4):
+                ctx = SliceContext(nb, lam, QT)
+                assert ctx.free == free_indices(nb, lam)
+                assert ctx.pushers == tuple(m - 1 for m in ctx.free if m >= 2)
+
+
+def _outcome(fn, *args):
+    """The value with its type, floats by their bits, or the exception type."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc).__name__
+
+
+def _tuple_outcome(fn, indices, k, zero):
+    """fn at indices and zero elsewhere, as `SliceContext` S and T hold them,
+    or the type of the first exception in index order."""
+    out = [zero] * k
+    for i in indices:
+        try:
+            out[i - 1] = fn(i)
+        except Exception as exc:  # the exception type is part of the outcome
+            return type(exc).__name__
+    return [_bits(v) for v in out]
+
+
+def _attribute_outcome(ctx, name):
+    try:
+        return [_bits(v) for v in getattr(ctx, name)]
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc).__name__
+
+
+# general points, float and exact: q = t^2 makes factors cancel or vanish, and
+# q = 0.0 raises negative powers of 0.0
+KERNEL_TWIN_POINTS = [(0.5, 0.3), (0.25, 0.5), (0.0, 0.3), (F(1, 2), F(1, 3)), (F(1, 3), F(1, 9))]
+
+
+class TestGeneralKernelTwin:
+    @pytest.mark.parametrize("point", KERNEL_TWIN_POINTS, ids=str)
+    def test_matches_the_factor_list_twin(self, point):
+        params = MacParams(*point)
+        rnd = random.Random(str(point))
+        for k in range(2, 8):
+            for _ in range(25 if params.is_exact else 100):
+                lam = tuple(sorted((rnd.randint(0, 12) for _ in range(k)), reverse=True))
+                nb = tuple(rnd.randint(lam[j + 1], lam[j]) for j in range(k - 1))
+                ctx = SliceContext(nb, lam, params)
+                for j in range(1, k + 1):
+                    assert _outcome(S_quant, ctx, j) == _outcome(
+                        reference_S_general, nb, lam, j, *point), (nb, lam, j)
+                for i in range(1, k):
+                    assert _outcome(T_quant, ctx, i) == _outcome(
+                        reference_T_general, nb, lam, i, *point), (nb, lam, i)
+                zero = 0 * params.one()
+                assert _attribute_outcome(ctx, "S") == _tuple_outcome(
+                    lambda j: reference_S_general(nb, lam, j, *point), ctx.free, k, zero)
+                assert _attribute_outcome(ctx, "T") == _tuple_outcome(
+                    lambda i: reference_T_general(nb, lam, i, *point), ctx.pushers, k, zero)
+        if params.is_exact:
+            assert params.factors is None
+        else:
+            assert 0 < len(params.factors) <= 1 << 15
 
 
 class TestFQuantities:
@@ -393,6 +503,42 @@ class TestPositivityScan:
     def test_pb_always_clean(self):
         report = positivity_scan(QT, 3, 5, families=("pb",))
         assert not report.violating_kinds()
+
+    @pytest.mark.parametrize("point", [(F(1, 2), F(1, 2)), (0.3, 0.3), (F(1, 2), F(0))], ids=str)
+    def test_matches_the_unskipped_twin(self, point):
+        params = MacParams(*point)
+        assert positivity_scan(params, 4, 4).results == (
+            reference_positivity_scan(params, 4, 4).results)
+
+    def test_schur_scan_solves_the_first_slice_of_each_free_set(self, monkeypatch):
+        solved = []
+        real = cl.fundamental
+
+        def spy(kind, ctx):
+            if not solved or solved[-1] != (ctx.nu_bar, ctx.lam):
+                solved.append((ctx.nu_bar, ctx.lam))
+            return real(kind, ctx)
+
+        monkeypatch.setattr(cl, "fundamental", spy)
+        positivity_scan(MacParams(F(1, 2), F(1, 2)), 4, 4)
+        want, firsts = [], set()
+        for k in range(2, 5):
+            for nb, lam in iter_slices(k, 4):
+                level_free = (k, free_indices(nb, lam))
+                if level_free not in firsts:
+                    firsts.add(level_free)
+                    want.append((nb, lam))
+        assert solved == want
+
+    def test_schur_solutions_depend_on_the_free_set_alone(self):
+        # the premise of skipping repeated free sets in Schur mode
+        params = MacParams(F(1, 3), F(1, 3))
+        for k in range(2, 5):
+            by_free = {}
+            for nb, lam in iter_slices(k, 4):
+                ctx = SliceContext(nb, lam, params)
+                rows = [fundamental(kind, ctx).as_rows() for kind in fundamental_kinds(k)]
+                assert by_free.setdefault(ctx.free, rows) == rows
 
 
 from hypothesis import given, settings

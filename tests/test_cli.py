@@ -33,6 +33,11 @@ class TestGroup:
         assert code == 2 and out == ""
         assert "refused" in err and err.count("\n") == 1
 
+    def test_refusal_is_not_an_invariant_violation(self, capsys):
+        code, out, err = run(capsys, "group", "--N", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("refused: ") and "invariant violation" not in err
+
 
 class TestRsk:
     def test_f_map(self, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from macdyn.arrays import interlacing_predecessors
+from macdyn import macdonald as md
 from macdyn.errors import BlockedMove
 from macdyn.macdonald import (
     MacdonaldP,
@@ -185,6 +186,36 @@ class TestFactorProduct:
             with pytest.raises(ZeroDivisionError):
                 factor_product({(0, 0): -1, (1, -1): 1}, q, t)
             assert factor_product({(1, -1): 0, (0, 0): 0}, q, t) == 1  # cancelled keys
+
+    @pytest.mark.parametrize("point", KERNEL_POINTS, ids=str)
+    def test_memo_gives_the_same_bits(self, point):
+        q, t = map(float, point)
+        memo = MacParams(q, t).factors
+        keys = [(a, b) for a in range(-2, 4) for b in range(-1, 3)]
+        rnd = random.Random(f"{point}memo")
+        for _ in range(500):
+            num = [rnd.choice(keys) for _ in range(rnd.randint(0, 7))]
+            den = [rnd.choice(keys) for _ in range(rnd.randint(0, 7))]
+            net = net_exponents(num, den)
+            assert _kernel_outcome(factor_product, net, q, t, memo) == (
+                _kernel_outcome(factor_product, net, q, t)), (num, den)
+        assert all(v != 0 and v == 1.0 - q ** a * t ** b for (a, b), v in memo.items())
+
+    def test_memo_is_bounded(self):
+        params = MacParams(0.5, 0.3)
+        memo, bound = params.factors, md._FACTOR_MEMO_SIZE
+        net = {(a, b): 1 for a in range(1, bound // 4 + 30) for b in range(1, 5)}
+        assert len(net) > bound
+        value = factor_product(net, 0.5, 0.3, memo)
+        assert value.hex() == factor_product(net, 0.5, 0.3).hex()
+        assert len(memo) == bound
+        later = list(net)[bound:]  # the keys that found the memo full
+        assert not any(key in memo for key in later)
+        assert factor_product(net, 0.5, 0.3, memo).hex() == value.hex()
+        for a, b in later:
+            assert factor_product({(a, b): 1}, 0.5, 0.3, memo) == 1.0 - 0.5 ** a * 0.3 ** b
+        assert len(memo) == bound
+        assert MacParams(F(1, 2), F(1, 3)).factors is None  # exact: fraction-free, no memo
 
     def test_exact_path_builds_one_fraction(self):
         net = net_exponents([(1, 0), (2, 1), (-1, 2)], [(0, 1), (2, 1)])

@@ -12,6 +12,10 @@ same script can digest any checkout.  The grid:
   points (1/2, 1/3), (1/2, 0), (1/3, 1/9): S_j and T_i at every index, every
   fundamental solution, its `check_system` result, `solve_r` on its (w, c)
   and its `decompose` result on every basis;
+- the same lines for 150 seeded slices per level at levels 6 and 7 with
+  coordinates in [0, 12], at the float points (1/2, 0.3) and (1/4, 1/2)
+  (where q = t^2): the deep slices with large coordinates that a
+  general-point simulation visits;
 - fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion, a
   constant-weight mixing, a mixing whose weights depend on the slice and
   (at the t = 0 points) oconnell-pei, at N = 4
@@ -60,6 +64,10 @@ from pathlib import Path
 FLOAT_POINTS = ((0.0, 0.0), (0.5, 0.3), (0.5, 0.0), (0.25, 0.75))
 EXACT_POINTS = ((F(1, 2), F(1, 3)), (F(1, 2), F(0)), (F(1, 3), F(1, 9)))
 LEVELS = {2: 4, 3: 4, 4: 4, 5: 3}  # level -> largest coordinate
+SEEDED_POINTS = ((0.5, 0.3), (0.25, 0.5))
+SEEDED_LEVELS = (6, 7)
+SEEDED_SLICES = 150  # per point and level
+SEEDED_COORD = 12
 SIM_POINTS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.3), (F(1, 2), F(1, 3)))
 SIM_DEPTH = 4
 SIM_SEEDS = range(4)
@@ -89,32 +97,51 @@ def attempt(fn, *args):
         return f"raises {type(exc).__name__}"
 
 
+def one_slice_lines(cl, point, params, nb, lam):
+    k = len(lam)
+    kinds = [cl.pb()] + [cl.rsk(h) for h in range(1, k + 1)]
+    kinds += [make(h) for make in (cl.right_push, cl.left_pull) for h in range(1, k)]
+    ctx = cl.SliceContext(nb, lam, params)
+    head = f"{enc(point)} {nb} {lam}"
+    yield head + " S " + enc([attempt(cl.S_quant, ctx, j) for j in range(1, k + 1)])
+    yield head + " T " + enc([attempt(cl.T_quant, ctx, i) for i in range(1, k + 1)])
+    for kind in kinds:
+        sol = attempt(cl.fundamental, kind, ctx)
+        if isinstance(sol, str):
+            yield f"{head} {kind} {sol}"
+            continue
+        yield f"{head} {kind} sol {enc(sol.as_rows())}"
+        yield f"{head} {kind} check {enc(attempt(cl.check_system, ctx, sol))}"
+        solved = attempt(cl.solve_r, ctx, sol.w, sol.c)
+        yield f"{head} {kind} solve_r " + (
+            solved if isinstance(solved, str) else enc(sorted(solved.r.items())))
+        for basis in cl.BASES:
+            dec = attempt(cl.decompose, ctx, sol, basis)
+            if not isinstance(dec, str):
+                dec = enc(sorted((str(kk), v) for kk, v in dec.items()))
+            yield f"{head} {kind} {basis} {dec}"
+
+
 def slice_lines(cl, MacParams):
     for point in FLOAT_POINTS + EXACT_POINTS:
         params = MacParams(*point)
         for k, top in LEVELS.items():
-            kinds = [cl.pb()] + [cl.rsk(h) for h in range(1, k + 1)]
-            kinds += [make(h) for make in (cl.right_push, cl.left_pull) for h in range(1, k)]
             for nb, lam in cl.iter_slices(k, top):
-                ctx = cl.SliceContext(nb, lam, params)
-                head = f"{enc(point)} {nb} {lam}"
-                yield head + " S " + enc([attempt(cl.S_quant, ctx, j) for j in range(1, k + 1)])
-                yield head + " T " + enc([attempt(cl.T_quant, ctx, i) for i in range(1, k + 1)])
-                for kind in kinds:
-                    sol = attempt(cl.fundamental, kind, ctx)
-                    if isinstance(sol, str):
-                        yield f"{head} {kind} {sol}"
-                        continue
-                    yield f"{head} {kind} sol {enc(sol.as_rows())}"
-                    yield f"{head} {kind} check {enc(attempt(cl.check_system, ctx, sol))}"
-                    solved = attempt(cl.solve_r, ctx, sol.w, sol.c)
-                    yield f"{head} {kind} solve_r " + (
-                        solved if isinstance(solved, str) else enc(sorted(solved.r.items())))
-                    for basis in cl.BASES:
-                        dec = attempt(cl.decompose, ctx, sol, basis)
-                        if not isinstance(dec, str):
-                            dec = enc(sorted((str(kk), v) for kk, v in dec.items()))
-                        yield f"{head} {kind} {basis} {dec}"
+                yield from one_slice_lines(cl, point, params, nb, lam)
+
+
+def seeded_slice_lines(cl, MacParams):
+    """The slice lines of seeded deep slices with large coordinates, as a
+    general-point simulation visits them, beyond the grid's reach."""
+    for point in SEEDED_POINTS:
+        params = MacParams(*point)
+        rnd = random.Random(f"{point}")
+        for k in SEEDED_LEVELS:
+            for _ in range(SEEDED_SLICES):
+                lam = tuple(sorted((rnd.randint(0, SEEDED_COORD) for _ in range(k)),
+                                   reverse=True))
+                nb = tuple(rnd.randint(lam[j + 1], lam[j]) for j in range(k - 1))
+                yield from one_slice_lines(cl, point, params, nb, lam)
 
 
 def parity_weights(k, nu_bar, lam):
@@ -318,6 +345,7 @@ def main(argv=None) -> int:
     ensemble_specs = simulate_specs(sim, MacParams)
     for part, lines in (
         ("slices", slice_lines(cl, MacParams)),
+        ("seeded-slices", seeded_slice_lines(cl, MacParams)),
         ("simulate", simulate_lines(sim, specs)),
         ("simulate-warm", simulate_lines(sim, specs)),
         ("simulate-fresh", simulate_lines(sim, simulate_specs(sim, MacParams))),
