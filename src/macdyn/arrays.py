@@ -309,10 +309,12 @@ def interlacing_predecessors(lam: Sequence[int]) -> Iterator[Signature]:
 
 
 def enumerate_arrays(lam_top: Sequence[int], depth: int) -> Iterator[InterlacingArray]:
-    """All interlacing arrays of the given depth whose top row is lam_top.
+    """All interlacing arrays of the given depth whose top row is lam_top:
+    the skew tableaux of shape lam_top/() over {1..depth}, row by row.
 
     lam_top is zero-padded to length `depth`; it must be nonnegative if padding
     is needed.  Iteration is level by level from the top, O(depth) memory.
+    Depth 0 yields nothing.
     """
     lam_top = check_signature(lam_top)
     if len(lam_top) > depth:
@@ -321,14 +323,6 @@ def enumerate_arrays(lam_top: Sequence[int], depth: int) -> Iterator[Interlacing
         if lam_top and lam_top[-1] < 0:
             raise InvalidInput("cannot zero-pad a signature with negative parts")
         lam_top = lam_top + (0,) * (depth - len(lam_top))
-
-    def rec(upper: Signature) -> Iterator[tuple[Signature, ...]]:
-        if len(upper) == 1:
-            yield (upper,)
-            return
-        for nu in interlacing_predecessors(upper):
-            for chain in rec(nu):
-                yield chain + (upper,)
-
-    for chain in rec(lam_top):
-        yield InterlacingArray(chain)
+    if depth:
+        for chain in skew_chains(lam_top, (), depth):
+            yield InterlacingArray.trusted(chain.rows[1:])

@@ -224,8 +224,8 @@ def _digits(text: str):
 
 def _cmd_rsk(args) -> int:
     if args.table:
-        if args.N is None:
-            raise _CliError("--table needs --N")
+        if args.N is None or args.N < 1:
+            raise _CliError("--table needs --N >= 1")
         words = ins.permutation_words(args.N)
         table = ins.f_h_table(args.N)
         lines = ["word," + ",".join("h=" + "".join(map(str, h)) for h in table)]
@@ -362,6 +362,8 @@ def _stringify(obj):
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "samples", 1) < 1:  # simulate and verify
+            raise _CliError(f"--samples must be at least 1, got {args.samples}")
         handler = {
             "simulate": _cmd_simulate,
             "classify": _cmd_classify,
@@ -370,10 +372,7 @@ def main(argv=None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidInput, Infeasible) as exc:
+    except (_CliError, InvalidInput, Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -40,6 +40,7 @@ from .arrays import (
     horizontal_strip,
     interlaces,
     interlacing_predecessors,
+    skew_chains,
     vertical_strip,
 )
 from .errors import BlockedMove, InvalidInput
@@ -404,62 +405,20 @@ def skew_Q(lam: Sequence[int], mu: Sequence[int], xs: Sequence, params: MacParam
 
 
 def _skew_eval(lam, mu, xs, params, coeff):
-    m = len(xs)
-    if m == 0:
+    """Sum over the skew tableaux of shape lam/mu (`skew_chains`) of the
+    product, strip by strip, of coeff and x_i^(boxes of letter i)."""
+    if not xs:
         same = _strip_zeros(lam) == _strip_zeros(mu) if (
             (not lam or lam[-1] >= 0) and (not mu or mu[-1] >= 0)
         ) else lam == mu
         return params.one() if same else 0 * params.one()
-    if len(mu) < len(lam) <= len(mu) + m and lam[-1] >= 0:
-        lam = lam + (0,) * (len(mu) + m - len(lam))  # trapezoid convention
-    growing = len(lam) == len(mu) + m
-    if not growing and len(lam) != len(mu):
-        raise InvalidInput(
-            "skew evaluation needs len(lam) == len(mu) (columns padded) or len(mu) + len(xs)"
-        )
-    zero = 0 * params.one()
-
-    def rec(top: Signature, depth: int):
-        if depth == 0:
-            return params.one() if top == mu else zero
-        x = xs[depth - 1]
-        total = zero
-        wt = sum(top)
-        if growing:
-            mu_pad = mu + (-10 ** 18,) * (len(top) - 1 - len(mu))
-            for kappa in interlacing_predecessors(top):
-                if any(kappa[i] < mu_pad[i] for i in range(len(kappa))):
-                    continue
-                c = coeff(kappa, top, params)
-                if c == 0:
-                    continue
-                total += c * x ** (wt - sum(kappa)) * rec(kappa, depth - 1)
-        else:
-            for kappa in _equal_length_strips_below(top, mu):
-                c = coeff(kappa, top, params)
-                if c == 0:
-                    continue
-                total += c * x ** (wt - sum(kappa)) * rec(kappa, depth - 1)
-        return total
-
-    if growing:
-        return rec(lam, m)
-    if not all(mu[i] <= lam[i] for i in range(len(lam))):
-        return zero
-    return rec(lam, m)
-
-
-def _equal_length_strips_below(top: Signature, floor: Signature):
-    """All kappa with floor <= kappa <= top coordinatewise and top/kappa a
-    horizontal strip."""
-    n = len(top)
-    ranges = []
-    for i in range(n):
-        lo = max(floor[i], top[i + 1] if i + 1 < n else floor[i])
-        ranges.append(range(lo, top[i] + 1))
-    for combo in itertools.product(*ranges):
-        if all(combo[i] >= combo[i + 1] for i in range(n - 1)):
-            yield combo
+    total = 0 * params.one()
+    for chain in skew_chains(lam, mu, len(xs)):
+        term = params.one()
+        for x, lower, upper in zip(xs, chain.rows, chain.rows[1:]):
+            term *= coeff(lower, upper, params) * x ** (sum(upper) - sum(lower))
+        total += term
+    return total
 
 
 # --- stochastic links, univariate rates, one-step operator --------------------

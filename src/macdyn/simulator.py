@@ -19,27 +19,27 @@ follows that entry's link.
   exactly where propagate would, and takes the child of the outcome it
   selects; the leaf gives the successor's id and the cascade.  No row is
   touched, no tuple built and no state hashed.
-- Miss: the walk reaches an empty slot.  The slow path replays the uniforms
-  already drawn: it applies the jump to the rows, runs the rest of the
-  cascade through propagate and looks the new array up by its coordinates.
+- Miss: the walk reaches an empty slot.  The slow path applies the jump to
+  the rows, walks the rest of the cascade on the uniforms already drawn,
+  then fresh ones, and looks the new array up by its coordinates.
   A cascade that moved rows k..K changes only the slices at levels k..K+1,
   so a new array has only those row pairs checked for interlacing and only
   those levels rebuilt (level 1's rate is constant; the dependency-graph idea
   of Gibson and Bruck's next-reaction method).  It enters the table if there
-  is room, and the event's path is grafted into the links if its successor
-  is in the table.
+  is room, and the event's path, holding the outcome lists the steps used,
+  is grafted into the links if its successor is in the table.
 
 A state enters the table only after its touched row pairs passed the check,
 and the state before the event interlaced, so every state in the table
 interlaces, and so does every state a link leads to.  A node's total and the
-selection walk add the rates in the same order, and a link draws the same
-uniforms as propagate, so every run is bit-identical to rebuilding all
-levels and checking every row pair after every event.
+selection walk add the rates in the same order, and a link and the miss path
+draw the same uniforms as propagate, so every run is bit-identical to
+rebuilding all levels and checking every row pair after every event.
 
 A cascade is applied strictly bottom-up.  Each propagation step samples one
 outcome of a branch list built once per slice, on the post-move lower row and
-pre-move upper row; the nearest-neighbor recipes and the randomized
-insertion share that one list shape and one sampler (_child).
+pre-move upper row (_branch looks it up); the nearest-neighbor recipes and
+the randomized insertion share that one list shape and one sampler (_child).
 """
 
 from __future__ import annotations
@@ -88,14 +88,15 @@ _H_LENGTH = {"rsk": 0, "det-insertion": 0, "r": -1, "l": -1}
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    """A named dynamics on arrays of the given depth.
+    """A named dynamics on arrays of the given depth, an integer >= 1.
 
     h is required for the rsk / r / l / det-insertion recipes (length depth for
     rsk and det-insertion, depth-1 for r and l).  A mixing recipe carries
     component specs and either one constant weight per component or a callable
-    (level, nu_bar, lam) -> weights evaluated per slice.  The callable must be
-    a function of those arguments alone: it is called once per slice the
-    dynamics visits, and its weights are kept with the slice.
+    (level, nu_bar, lam) -> weights evaluated per slice; no other recipe takes
+    either.  The callable must be a function of those arguments alone: it is
+    called once per slice the dynamics visits, and its weights are kept with
+    the slice.
 
     The spec owns the slice and state tables of its runs (`_tables`); they
     are freed with it, and equal specs do not share them.  Each table holds
@@ -114,6 +115,8 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.recipe not in RECIPES:
             raise InvalidInput(f"unknown dynamics {self.recipe!r}")
+        if not isinstance(self.depth, int) or self.depth < 1:
+            raise InvalidInput(f"depth must be an integer >= 1, got {self.depth!r}")
         if len(self.a) != self.depth:
             raise InvalidInput(f"need {self.depth} drift parameters, got {len(self.a)}")
         if not all(0 < v < math.inf for v in self.a):
@@ -127,6 +130,8 @@ class DynamicsSpec:
             check_h_vector(self.h, want)
         elif self.h is not None:
             raise InvalidInput(f"recipe {self.recipe!r} takes no h-vector")
+        if self.recipe != "mixing" and (self.components or self.weights is not None):
+            raise InvalidInput(f"recipe {self.recipe!r} takes no components or weights")
         if self.recipe == "mixing":
             if not self.components:
                 raise InvalidInput("mixing needs component specs")
@@ -135,6 +140,9 @@ class DynamicsSpec:
                     raise InvalidInput("mixing components must be nearest-neighbor primitives")
                 if (comp.params, comp.a, comp.depth) != (self.params, self.a, self.depth):
                     raise InvalidInput("mixing components must share params, a, and depth")
+            w, count = self.weights, len(self.components)
+            if not (callable(w) or isinstance(w, (tuple, list)) and len(w) == count):
+                raise InvalidInput(f"mixing needs one weight per component ({count}), got {w!r}")
 
     @cached_property
     def _tables(self) -> _DynamicsTables:
@@ -347,16 +355,27 @@ def jump_rates(spec: DynamicsSpec, rows: Sequence[Sequence[int]], k: int):
     return [(m, rate) for _, m, rate in _level_entries(spec, rows, k)]
 
 
+def _branch(spec: DynamicsSpec, rows, k: int, j: int, prev: int):
+    """The outcome list (branch[j - 1] of _slice_data) of the propagation
+    step at level k after lower particle j moved from prev, or None for the
+    forced short push.  rows holds the post-move lower row and pre-move
+    upper row."""
+    lam = rows[k - 1]
+    if lam[j - 1] == prev:
+        return None
+    return _slice_data(spec, k, tuple(rows[k - 2]), tuple(lam))[1][j - 1]
+
+
 def propagate(spec: DynamicsSpec, rows, k: int, j: int, prev: int, rng):
-    """Decide the triggered move at level k after lower particle j moved.
+    """Decide the triggered move at level k after lower particle j moved,
+    drawing one uniform from rng to select an outcome of its _branch list.
 
     rows holds the post-move lower row and pre-move upper row; prev is the
     mover's coordinate before its move.  Returns (index, cause) or None.
     """
-    lam = rows[k - 1]
-    if lam[j - 1] == prev:
+    outcomes = _branch(spec, rows, k, j, prev)
+    if outcomes is None:
         return j, "short_push"
-    outcomes = _slice_data(spec, k, tuple(rows[k - 2]), tuple(lam))[1][j - 1]
     b = _child(outcomes, rng.random())
     return outcomes[b - 1][1:] if b <= len(outcomes) else None
 
@@ -479,28 +498,6 @@ def _intern(tables: _DynamicsTables, value: tuple) -> tuple:
     return interned.get(value, value)
 
 
-class _Replay:
-    """The rng that propagate sees on the miss path: it hands out the
-    uniforms that the link walk already drew, in order, then fresh draws,
-    and keeps every uniform in drawn."""
-
-    __slots__ = ("rng", "drawn", "used")
-
-    def __init__(self, rng, drawn: list):
-        self.rng = rng
-        self.drawn = drawn
-        self.used = 0
-
-    def random(self) -> float:
-        used = self.used
-        self.used = used + 1
-        if used < len(self.drawn):
-            return self.drawn[used]
-        u = self.rng.random()
-        self.drawn.append(u)
-        return u
-
-
 def _child(outcomes: tuple, u: float) -> int:
     """The child of a branch point that the uniform u selects: the first
     outcome with u < threshold (children 1..), else the stop child."""
@@ -515,30 +512,34 @@ def _child(outcomes: tuple, u: float) -> int:
 def _miss(spec: DynamicsSpec, tables, node: _Node, rows: list, i: int, drawn: list, rng):
     """The slow path of one event out of node, whose array rows holds.
 
-    It applies entry i's jump, replays the uniforms that the link walk drew
-    and runs the rest of the cascade through propagate.  A successor missing
-    from the table is checked for interlacing and built from node's levels,
+    It applies entry i's jump and walks the rest of the cascade: each step
+    takes its outcome list from _branch and, unless it is a short push, the
+    next uniform of drawn, which holds those the link walk drew; past them
+    it draws from rng and appends to drawn.  A successor missing from the
+    table is checked for interlacing and built from node's levels,
     rebuilding only the levels the cascade touched.  rows is left holding
     the successor.  When the successor is in the table, the path of the
     event is grafted into node's links.  Returns (successor, cascade)."""
     n = len(rows)
     k, m, _ = node.entries[i]
-    replay = _Replay(rng, drawn)
-    branches = []  # the outcome list of every step at which propagate drew
+    path = []  # (outcome list, child) of every step that drew a uniform
     cascade = [(k, m, "jump")]
     prev = rows[k - 1][m - 1]
     rows[k - 1][m - 1] += 1
     j = m
     for lvl in range(k + 1, n + 1):
         lam = rows[lvl - 1]
-        used = replay.used
-        res = propagate(spec, rows, lvl, j, prev, replay)
-        if replay.used != used:
-            data = tables.slices.get((tuple(rows[lvl - 2]), tuple(lam)))
-            branches.append(None if data is None else data[1][j - 1])
-        if res is None:
-            break
-        target, cause = res
+        outcomes = _branch(spec, rows, lvl, j, prev)
+        if outcomes is None:
+            target, cause = j, "short_push"
+        else:
+            if len(path) == len(drawn):
+                drawn.append(rng.random())
+            b = _child(outcomes, drawn[len(path)])
+            path.append((outcomes, b))
+            if b > len(outcomes):
+                break
+            _, target, cause = outcomes[b - 1]
         prev = lam[target - 1]
         lam[target - 1] += 1
         cascade.append((lvl, target, cause))
@@ -555,14 +556,14 @@ def _miss(spec: DynamicsSpec, tables, node: _Node, rows: list, i: int, drawn: li
         nid = _store(tables, succ)
     else:
         succ = tables.nodes[nid]
-    if nid is not None and None not in branches:
+    if nid is not None:
         cascade = _intern(tables, cascade)
         holder, slot = node.links, i
-        for outcomes, u in zip(branches, replay.drawn):
+        for outcomes, b in path:
             point = holder[slot]
             if point is None:
                 point = holder[slot] = [outcomes] + [None] * (len(outcomes) + 1)
-            holder, slot = point, _child(outcomes, u)
+            holder, slot = point, b
         holder[slot] = (nid, cascade)
     return succ, cascade
 

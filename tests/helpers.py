@@ -1,15 +1,26 @@
 """Reference code that only the tests use: independent cross-checks of the
 package and the reference twins of its fast factor-product kernel, of the
-general S_j and T_i, of the positivity scan and of its row-level h-RS
-correspondence."""
+general S_j and T_i, of the positivity scan, of its row-level h-RS
+correspondence, and of the skew polynomials and array enumeration that now
+walk `skew_chains`."""
 
 import bisect
+import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from macdyn import macdonald as md
-from macdyn.arrays import InterlacingArray, add_box, interlacing_predecessors, xi, xi_inverse
+from macdyn.arrays import (
+    InterlacingArray,
+    Signature,
+    add_box,
+    check_signature,
+    interlacing_predecessors,
+    xi,
+    xi_inverse,
+)
 from macdyn.classifier import (
     F_quant,
     ScanReport,
@@ -336,3 +347,121 @@ def reference_h_rs_inverse(pair: TableauPair, h) -> tuple:
     if any(c != 0 for row in rows for c in row):
         raise InvalidInput("pair not in the image: residue after unwinding")
     return tuple(reversed(word_rev))
+
+
+def partitions_up_to(size: int) -> list:
+    """Every partition lam with |lam| <= size, without trailing zeros."""
+    out = [()]
+    for lam in out:  # grows while it is read: each partition once, by last part
+        last = lam[-1] if lam else size
+        for part in range(1, min(last, size - sum(lam)) + 1):
+            out.append(lam + (part,))
+    return out
+
+
+def sub_partitions(lam) -> list:
+    """Every partition mu with mu_i <= lam_i for all i, without trailing zeros."""
+    out = []
+    for mu in itertools.product(*(range(c + 1) for c in lam)):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            out.append(tuple(c for c in mu if c))
+    return out
+
+
+def value_or_raised(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is part of the result
+        return type(exc)
+
+
+# --- skew polynomials and array enumeration by their own recursions -------------
+# The recursions that the one chain walk of `arrays.skew_chains` replaced in
+# `macdonald.skew_P`/`skew_Q` and `arrays.enumerate_arrays`, kept verbatim as
+# their differential twins.  reference_skew_eval takes checked signatures,
+# xs as a tuple and the coefficient (`md.branch_psi` or `md.branch_phi`).
+
+def reference_skew_eval(lam, mu, xs, params, coeff):
+    m = len(xs)
+    if m == 0:
+        same = md._strip_zeros(lam) == md._strip_zeros(mu) if (
+            (not lam or lam[-1] >= 0) and (not mu or mu[-1] >= 0)
+        ) else lam == mu
+        return params.one() if same else 0 * params.one()
+    if len(mu) < len(lam) <= len(mu) + m and lam[-1] >= 0:
+        lam = lam + (0,) * (len(mu) + m - len(lam))  # trapezoid convention
+    growing = len(lam) == len(mu) + m
+    if not growing and len(lam) != len(mu):
+        raise InvalidInput(
+            "skew evaluation needs len(lam) == len(mu) (columns padded) or len(mu) + len(xs)"
+        )
+    zero = 0 * params.one()
+
+    def rec(top: Signature, depth: int):
+        if depth == 0:
+            return params.one() if top == mu else zero
+        x = xs[depth - 1]
+        total = zero
+        wt = sum(top)
+        if growing:
+            mu_pad = mu + (-10 ** 18,) * (len(top) - 1 - len(mu))
+            for kappa in interlacing_predecessors(top):
+                if any(kappa[i] < mu_pad[i] for i in range(len(kappa))):
+                    continue
+                c = coeff(kappa, top, params)
+                if c == 0:
+                    continue
+                total += c * x ** (wt - sum(kappa)) * rec(kappa, depth - 1)
+        else:
+            for kappa in reference_equal_length_strips_below(top, mu):
+                c = coeff(kappa, top, params)
+                if c == 0:
+                    continue
+                total += c * x ** (wt - sum(kappa)) * rec(kappa, depth - 1)
+        return total
+
+    if growing:
+        return rec(lam, m)
+    if not all(mu[i] <= lam[i] for i in range(len(lam))):
+        return zero
+    return rec(lam, m)
+
+
+def reference_equal_length_strips_below(top: Signature, floor: Signature):
+    """All kappa with floor <= kappa <= top coordinatewise and top/kappa a
+    horizontal strip."""
+    n = len(top)
+    ranges = []
+    for i in range(n):
+        lo = max(floor[i], top[i + 1] if i + 1 < n else floor[i])
+        ranges.append(range(lo, top[i] + 1))
+    for combo in itertools.product(*ranges):
+        if all(combo[i] >= combo[i + 1] for i in range(n - 1)):
+            yield combo
+
+
+def reference_enumerate_arrays(lam_top: Sequence[int], depth: int) -> Iterator[InterlacingArray]:
+    """All interlacing arrays of the given depth whose top row is lam_top.
+
+    lam_top is zero-padded to length `depth`; it must be nonnegative if padding
+    is needed.  Iteration is level by level from the top, O(depth) memory.
+    """
+    lam_top = check_signature(lam_top)
+    if len(lam_top) > depth:
+        raise InvalidInput("top row longer than requested depth")
+    if len(lam_top) < depth:
+        if lam_top and lam_top[-1] < 0:
+            raise InvalidInput("cannot zero-pad a signature with negative parts")
+        lam_top = lam_top + (0,) * (depth - len(lam_top))
+
+    def rec(upper: Signature) -> Iterator[tuple[Signature, ...]]:
+        if len(upper) == 1:
+            yield (upper,)
+            return
+        for nu in interlacing_predecessors(upper):
+            for chain in rec(nu):
+                yield chain + (upper,)
+
+    for chain in rec(lam_top):
+        yield InterlacingArray(chain)

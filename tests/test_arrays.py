@@ -19,7 +19,13 @@ from macdyn.arrays import (
 )
 from macdyn.errors import BlockedMove, InvalidInput
 
-from helpers import letter_counts, with_move
+from helpers import (
+    letter_counts,
+    partitions_up_to,
+    reference_enumerate_arrays,
+    value_or_raised,
+    with_move,
+)
 
 
 def weyl_dimension(lam, n):
@@ -177,6 +183,24 @@ class TestEnumerate:
 
     def test_single_row(self):
         assert len(list(enumerate_arrays((7,), 1))) == 1
+
+    def test_matches_the_recursive_twin(self):
+        # tops with |lam| <= 4, unpadded and with a zero appended, a few with
+        # negative parts and one that is not a signature, at depths 0-4 (and
+        # -1): the same arrays in the same order, or the same exception type
+        tops = [top for lam in partitions_up_to(4) for top in (lam, lam + (0,))]
+        tops += [(1, -1), (0, -2), (-1,), (2, 0, -1), (1, 2)]
+        for top in tops:
+            for depth in range(-1, 5):
+                got = value_or_raised(lambda: [a.levels for a in enumerate_arrays(top, depth)])
+                want = value_or_raised(
+                    lambda: [a.levels for a in reference_enumerate_arrays(top, depth)])
+                assert got == want, (top, depth)
+                if isinstance(got, list):
+                    assert all(type(c) is int for levels in got for row in levels for c in row)
+
+    def test_depth_zero_yields_nothing(self):
+        assert list(enumerate_arrays((), 0)) == []
 
     def test_counts_match_weyl_formula(self):
         for n in range(1, 5):

@@ -271,6 +271,19 @@ BAD_INPUTS = {
                       "--tau", "1", "--initial", "x;y"],
     "zero-denominator": ["simulate", "--dynamics", "pb", "--N", "2", "--a", "1,1",
                          "--tau", "1", "--q", "1/0"],
+    # counts below one used to exit 0 with no output, an empty array or a
+    # vacuous suite
+    "simulate-depth-zero": ["simulate", "--dynamics", "pb", "--N", "0", "--a", "",
+                            "--tau", "1"],
+    "simulate-depth-negative": ["simulate", "--dynamics", "pb", "--N", "-1", "--a", "",
+                                "--tau", "1"],
+    "simulate-samples-zero": ["simulate", "--dynamics", "pb", "--N", "1", "--a", "1",
+                              "--tau", "1", "--samples", "0"],
+    "simulate-samples-negative": ["simulate", "--dynamics", "pb", "--N", "1", "--a", "1",
+                                  "--tau", "1", "--samples", "-2"],
+    "verify-gibbs-samples-negative": ["verify", "--suite", "gibbs", "--samples", "-3"],
+    "verify-identities-samples-zero": ["verify", "--suite", "identities", "--samples", "0"],
+    "rsk-table-n-zero": ["rsk", "--table", "--N", "0"],
 }
 
 

@@ -34,7 +34,13 @@ from macdyn.macdonald import (
     univariate_rates,
 )
 
-from helpers import reference_factor_product
+from helpers import (
+    partitions_up_to,
+    reference_factor_product,
+    reference_skew_eval,
+    sub_partitions,
+    value_or_raised,
+)
 
 QT = MacParams(F(1, 2), F(1, 3))
 QW = MacParams(F(1, 2), 0)
@@ -341,6 +347,27 @@ class TestSkew:
 
     def test_no_tableau_is_zero(self):
         assert skew_P((1, 1), (2, 0), (F(1),), QT) == 0
+
+    @pytest.mark.parametrize("q,t", [(F(1, 2), F(1, 3)), (F(1, 2), F(0)), (F(1, 3), F(1, 3))])
+    def test_tableau_sum_matches_the_recursive_twin(self, q, t):
+        # every lam with |lam| <= 4 and mu below it, with mu's columns padded
+        # to len(lam) and with mu unpadded (the trapezoid convention), at 0-3
+        # variables, and with no variable a lam that carries a zero: the same
+        # exact value, or the same exception type
+        params = MacParams(q, t)
+        xs = (F(1, 2), F(3, 7), F(5, 3))
+        for lam in partitions_up_to(4):
+            for mu in sub_partitions(lam):
+                for m in range(4):
+                    shapes = [(lam, mu + (0,) * (len(lam) - len(mu))), (lam, mu)]
+                    if m == 0:
+                        shapes.append((lam + (0,), mu))
+                    for (lam_c, mu_c), (skew, coeff) in itertools.product(
+                            shapes, ((skew_P, branch_psi), (skew_Q, branch_phi))):
+                        got = value_or_raised(skew, lam_c, mu_c, xs[:m], params)
+                        want = value_or_raised(
+                            reference_skew_eval, lam_c, mu_c, xs[:m], params, coeff)
+                        assert got == want and type(got) is type(want), (lam_c, mu_c, m)
 
 
 class TestLinksAndRates:

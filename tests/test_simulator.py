@@ -73,6 +73,34 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput, match="drift"):
             DynamicsSpec(params=SCHUR, a=(drift, 1.0), depth=2, recipe="pb")
 
+    @pytest.mark.parametrize("depth", [0, -1, 2.0, "2"])
+    def test_depth_is_a_positive_integer(self, depth):
+        # depth 0 with no drifts used to run on an empty array
+        with pytest.raises(InvalidInput, match="depth must be an integer >= 1"):
+            DynamicsSpec(params=SCHUR, a=(), depth=depth, recipe="pb")
+
+    @pytest.mark.parametrize("given", ["components", "weights", "both"])
+    def test_components_and_weights_only_for_mixing(self, given):
+        # they used to be accepted and ignored
+        pb = DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="pb")
+        extra = {"components": (pb,), "weights": (1.0,)}
+        if given != "both":
+            extra = {given: extra[given]}
+        for recipe, h in (("pb", None), ("rsk", (1, 1)), ("oconnell-pei", None)):
+            with pytest.raises(InvalidInput, match="takes no components or weights"):
+                DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe=recipe, h=h, **extra)
+
+    @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.25, 0.25), None, 1.0])
+    def test_one_constant_weight_per_component(self, weights):
+        # a wrong count used to raise only at the first slice of a run
+        comps = (
+            DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="pb"),
+            DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="rsk", h=(1, 1)),
+        )
+        with pytest.raises(InvalidInput, match="one weight per component"):
+            DynamicsSpec(params=SCHUR, a=(1.0, 1.0), depth=2, recipe="mixing",
+                         components=comps, weights=weights)
+
 
 class TestRatesAndPropagation:
     def test_pb_schur_rates(self):
@@ -508,10 +536,10 @@ class TestIncrementalEngine:
         # breaks interlacing must be caught by the per-event check
         import macdyn.simulator as sim
 
-        def pull_left(spec, rows, k, j, prev, rng):
-            return k, "pull"  # the leftmost particle: breaks interlacing from zeros
+        def pull_left(spec, rows, k, j, prev):
+            return ((1.0, k, "pull"),)  # the leftmost particle: breaks interlacing from zeros
 
-        monkeypatch.setattr(sim, "propagate", pull_left)
+        monkeypatch.setattr(sim, "_branch", pull_left)
         spec = DynamicsSpec(params=SCHUR, a=(1.0,) * 3, depth=3, recipe="pb")
         with pytest.raises(InvariantViolation, match="interlacing broken") as info:
             simulate(spec, 5.0, seed=3)
@@ -616,14 +644,14 @@ class TestStateTable:
         warm = outcomes(specs, (1, 0))  # every state now comes from the table
         assert [spec._tables.misses for spec in specs] == built
         # the same streams again: every event of a run that did not raise
-        # follows the links its first pass compiled, without propagate
-        calls, propagate = Counter(), sim.propagate
+        # follows the links its first pass compiled, without a step lookup
+        calls, branch = Counter(), sim._branch
 
         def counted(spec, *args):
             calls[id(spec)] += 1
-            return propagate(spec, *args)
+            return branch(spec, *args)
 
-        monkeypatch.setattr(sim, "propagate", counted)
+        monkeypatch.setattr(sim, "_branch", counted)
         replayed = outcomes(specs, (0, 1))
         monkeypatch.undo()
         for i, spec in enumerate(specs):
@@ -671,7 +699,7 @@ class TestStateTable:
         spec = DynamicsSpec(params=SCHUR, a=(1.0,) * 3, depth=3, recipe="pb")
         run_ensemble(spec, 5.0, 200, seed=3)
         assert len(spec._tables.ids) > 50
-        monkeypatch.setattr(sim, "propagate", lambda spec, rows, k, j, prev, rng: (k, "pull"))
+        monkeypatch.setattr(sim, "_branch", lambda spec, rows, k, j, prev: ((1.0, k, "pull"),))
         with pytest.raises(InvariantViolation, match="interlacing broken") as info:
             simulate(spec, 5.0, seed=4)  # a stream the warm-up did not compile
         assert info.traceback[-1].name == "_check_interlacing"
@@ -704,6 +732,37 @@ class TestStateTable:
         monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", 30)
         assert run_ensemble(spec, 2.0, 400, seed=41) == want
         assert len(spec._tables.slices) <= 30
+
+    def test_a_step_on_a_refused_slice_is_still_grafted(self, monkeypatch):
+        # with the slice table full, every step recomputes its outcome list;
+        # the event's path is grafted all the same, and replaying the stream
+        # follows the links without looking a step up
+        import macdyn.simulator as sim
+
+        def make():
+            return DynamicsSpec(params=QW, a=(1.0, 0.8, 1.2), depth=3, recipe="qrow")
+
+        def run(spec):
+            return _outcome(lambda: simulate(spec, 4.0, rng=trajectory_rng(67)))
+
+        want = run(make())
+        spec, bound = make(), 200
+        monkeypatch.setattr(sim, "_STATE_TABLE_SIZE", bound)
+        slices = spec._tables.slices
+        slices.update((("filler", i), ()) for i in range(bound))  # refuses every slice
+        assert run(spec) == want
+        assert all(key[0] == "filler" for key in slices) and not spec._tables.refused
+        points = [link for node in spec._tables.nodes for link in node.links
+                  if type(link) is list]
+        assert points  # steps that drew a uniform were grafted as branch points
+        calls, branch = [], sim._branch
+
+        def counted(*args):
+            calls.append(args[2:])
+            return branch(*args)
+
+        monkeypatch.setattr(sim, "_branch", counted)
+        assert run(spec) == want and calls == []
 
     def test_dropping_the_spec_frees_its_tables(self):
         import weakref

@@ -34,6 +34,11 @@ same script can digest any checkout.  The grid:
   report with small bounds;
 - `macdyn verify --suite transient` and `--suite gibbs` report bytes and
   exit codes at a fixed seed;
+- `skew_P` and `skew_Q` at the exact points for every lam with |lam| <= 4
+  and every partition mu below it, with mu's columns padded to len(lam)
+  and unpadded, on 0-3 fixed rational variables;
+- `enumerate_arrays` for every top with |lam| <= 4, with and without a
+  trailing zero, at depths 0-4: every array in order, or the exception;
 - the h-RS correspondence: `h_rs_forward` pairs under every h-vector on
   every word of length <= 5 over {1, 2, 3} and <= 4 over {1..4}, plus 100
   seeded length-8 words over {1..4}; `h_rs_inverse` of each pair (under
@@ -78,6 +83,9 @@ TRANSIENT_CUTOFF = 6
 GIBBS_POINTS = ((0.0, 0.0), (F(1, 2), F(1, 3)), (0.5, 0.0))
 GIBBS_DRIFTS = (F(1), F(1, 2), F(2))
 GIBBS_TOPS = ((1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 1, 0), (2, 1, 1), (4, 2, 0), (3, 3, 1))
+SKEW_SIZE = 4  # largest |lam| of the skew and enumeration grids
+SKEW_XS = (F(1, 2), F(3, 7), F(5, 3))
+ARRAY_DEPTHS = range(5)
 
 
 def enc(value) -> str:
@@ -273,6 +281,38 @@ def verify_lines(cli):
             yield f"{' '.join(argv)} exit {code} sha256 {hashlib.sha256(data).hexdigest()}"
 
 
+def partitions(size):
+    """Every partition with at most size boxes, without trailing zeros."""
+    out = [()]
+    for lam in out:  # grows while it is read
+        last = lam[-1] if lam else size
+        out += [lam + (part,) for part in range(1, min(last, size - sum(lam)) + 1)]
+    return out
+
+
+def skew_lines(md, MacParams):
+    for point in EXACT_POINTS:
+        params = MacParams(*point)
+        for lam in partitions(SKEW_SIZE):
+            for mu in itertools.product(*(range(c + 1) for c in lam)):
+                if any(a < b for a, b in zip(mu, mu[1:])):
+                    continue  # not a partition
+                for mu_c in (mu, tuple(c for c in mu if c)):
+                    for m in range(len(SKEW_XS) + 1):
+                        for skew in (md.skew_P, md.skew_Q):
+                            value = attempt(skew, lam, mu_c, SKEW_XS[:m], params)
+                            yield f"{enc(point)} {skew.__name__} {lam} {mu_c} {m} {enc(value)}"
+
+
+def array_lines(arrays):
+    for lam in partitions(SKEW_SIZE):
+        for top in (lam, lam + (0,)):
+            for depth in ARRAY_DEPTHS:
+                out = attempt(lambda: " ".join(
+                    arr.to_text() for arr in arrays.enumerate_arrays(top, depth)))
+                yield f"enumerate {top} {depth} {out}"
+
+
 HRS_SEEDED = 100  # seeded length-8 words over {1..4}
 HRS_MALFORMED = (
     (((1, 4),), ((1, 2),), (1, 2, 3)),
@@ -334,6 +374,7 @@ def main(argv=None) -> int:
     from macdyn import classifier as cl
     from macdyn import cli
     from macdyn import insertions as ins
+    from macdyn import macdonald as md
     from macdyn import oracle as orc
     from macdyn import simulator as sim
     from macdyn.macdonald import MacParams
@@ -354,6 +395,8 @@ def main(argv=None) -> int:
         ("cli", cli_lines(cli)),
         ("oracles", oracle_lines(orc, arrays, MacParams)),
         ("verify", verify_lines(cli)),
+        ("skew", skew_lines(md, MacParams)),
+        ("arrays", array_lines(arrays)),
         ("h-rs", hrs_lines(ins, cli)),
     ):
         for line in lines:
