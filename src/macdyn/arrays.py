@@ -246,6 +246,14 @@ class SkewChain:
             if not ok:
                 raise InvalidInput(f"chain step {lower} -> {upper} is not a horizontal strip")
 
+    @classmethod
+    def trusted(cls, rows: tuple[Signature, ...]) -> "SkewChain":
+        """Wrap a chain (tuples of ints) that the caller has already checked,
+        skipping the re-validation, as InterlacingArray.trusted does."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "rows", rows)
+        return chain
+
     @property
     def bottom(self) -> Signature:
         return self.rows[0]
@@ -294,8 +302,9 @@ def skew_chains(lam: Sequence[int], mu: Sequence[int], letters: int) -> Iterator
             for chain in rec(tuple(kappa), depth - 1):
                 yield chain + (top,)
 
+    # every step rec takes is a horizontal strip of signatures
     for chain in rec(lam, letters):
-        yield SkewChain(chain)
+        yield SkewChain.trusted(chain)
 
 
 def interlacing_predecessors(lam: Sequence[int]) -> Iterator[Signature]:

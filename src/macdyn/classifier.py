@@ -507,15 +507,20 @@ def check_system(ctx: SliceContext, sol: SliceSolution, tol=None):
     return ok, residuals
 
 
-def mix(solutions: Sequence[SliceSolution], thetas: Sequence) -> SliceSolution:
-    """Affine combination of slice solutions; weights must sum to one exactly
+def check_weights(thetas: Sequence, count: int) -> None:
+    """Check that there are count weights and that they sum to one, exactly
     (rationals) or within tolerance (floats).  Negative weights are allowed."""
-    if len(solutions) != len(thetas):
+    if len(thetas) != count:
         raise InvalidInput("one weight per solution")
     total = sum(thetas)
     exact = all(isinstance(v, int) or hasattr(v, "denominator") for v in thetas)
     if (total != 1) if exact else (abs(total - 1) > _REL_TOL):
         raise Infeasible(f"weights sum to {total}, expected 1")
+
+
+def mix(solutions: Sequence[SliceSolution], thetas: Sequence) -> SliceSolution:
+    """Affine combination of slice solutions; the weights pass `check_weights`."""
+    check_weights(thetas, len(solutions))
     keys_w = set(solutions[0].w)
     keys_c = set(solutions[0].c)
     for sol in solutions:

@@ -40,6 +40,9 @@ A cascade is applied strictly bottom-up.  Each propagation step samples one
 outcome of a branch list built once per slice, on the post-move lower row and
 pre-move upper row (_branch looks it up); the nearest-neighbor recipes and
 the randomized insertion share that one list shape and one sampler (_child).
+Every recipe's lists come from one builder, _slice_rules, in the type of
+the params; it checks honesty by sign on exact values and within _PROB_TOL
+on floats, and _slice_data caches its float view.
 """
 
 from __future__ import annotations
@@ -55,11 +58,10 @@ from .classifier import (
     F_quant,
     SliceContext,
     SliceSolution,
+    check_weights,
     f_quant,
-    fundamental,
     fundamental_rows,
     left_pull,
-    mix,
     pb,
     right_push,
     rsk,
@@ -154,62 +156,50 @@ class DynamicsSpec:
     def _kinds(self) -> tuple:
         """The fundamental kind of each level k at index k - 1, or None where
         the recipe is not one; level 1 is pb for every recipe."""
-        return (pb(),) + tuple(_level_kind(self, k) for k in range(2, self.depth + 1))
+        recipe, h, levels = self.recipe, self.h, range(2, self.depth + 1)
+        if recipe in ("rsk", "qrow"):
+            return (pb(), *(rsk(h[k - 1] if recipe == "rsk" else 1) for k in levels))
+        if recipe in ("r", "l"):
+            make = right_push if recipe == "r" else left_pull
+            return (pb(), *(make(h[k - 2]) for k in levels))
+        return (pb(), *(pb() if recipe == "pb" else None for k in levels))
 
 
-def _level_kind(spec: DynamicsSpec, k: int):
-    if spec.recipe == "pb":
-        return pb()
-    if spec.recipe in ("rsk", "qrow"):
-        return rsk(spec.h[k - 1] if spec.recipe == "rsk" else 1)
-    if spec.recipe == "r":
-        return right_push(spec.h[k - 2])
-    if spec.recipe == "l":
-        return left_pull(spec.h[k - 2])
-    return None
-
-
-def _F_values(ctx: SliceContext) -> list:
-    """[F_1, ..., F_{k+1}] of the slice."""
-    return [F_quant(ctx, j) for j in range(1, ctx.k + 2)]
-
-
-def _oc_nn_solution(ctx: SliceContext) -> SliceSolution:
-    F = _F_values(ctx)
-    w = {m: (1 - F[m - 1]) * F[m] for m in ctx.free}
-    c = {j: f_quant(ctx, j) for j in ctx.pushers}
-    return SliceSolution(w=w, c=dict(c), r=dict(c))
-
-
-def _det_insertion_solution(ctx: SliceContext, h: int) -> SliceSolution:
-    one = ctx.params.one()
-    c = {j: one for j in ctx.pushers}
-    r = {j: (one if j < h else 0 * one) for j in ctx.pushers}
-    return SliceSolution(w=solve_w(ctx, c, r), c=c, r=r)
+def _level_rows(spec: DynamicsSpec, k: int, ctx: SliceContext) -> tuple:
+    """The (w, c, r) value lists of a nearest-neighbor recipe on the slice, in
+    the type of its params (and of its weights, for a mixing): w in the order
+    of ctx.free, c and r in the order of ctx.pushers.  The components of a
+    mixing share ctx, so S and T are evaluated once per slice."""
+    kind = spec._kinds[k - 1]
+    if kind is not None:
+        return fundamental_rows(kind, ctx)
+    if spec.recipe == "oconnell-pei-nn":
+        F = [F_quant(ctx, j) for j in range(1, k + 2)]
+        c = [f_quant(ctx, j) for j in ctx.pushers]
+        return [(1 - F[m - 1]) * F[m] for m in ctx.free], c, c
+    if spec.recipe == "det-insertion":
+        one, h = ctx.params.one(), spec.h[k - 1]
+        c = dict.fromkeys(ctx.pushers, one)
+        r = {j: one * (j < h) for j in ctx.pushers}  # r_j = [j < h], in the type of one
+        return list(solve_w(ctx, c, r).values()), list(c.values()), list(r.values())
+    if spec.recipe != "mixing":
+        raise InvalidInput(f"recipe {spec.recipe!r} has no slice solution")
+    weights = spec.weights
+    thetas = list(weights(k, ctx.nu_bar, ctx.lam) if callable(weights) else weights)
+    check_weights(thetas, len(spec.components))
+    rows = [_level_rows(comp, k, ctx) for comp in spec.components]
+    # the sums of classifier.mix, term for term
+    return tuple(
+        [sum(th * v for th, v in zip(thetas, values)) for values in zip(*lists)]
+        for lists in zip(*rows)
+    )
 
 
 def slice_solution(spec: DynamicsSpec, k: int, nu_bar, lam) -> SliceSolution:
     """The (w, c, r) triple the dynamics uses on the slice (nu_bar, lam)."""
-    return _solution(spec, k, SliceContext(tuple(nu_bar), tuple(lam), spec.params))
-
-
-def _solution(spec: DynamicsSpec, k: int, ctx: SliceContext) -> SliceSolution:
-    # the components of a mixing share ctx, so S and T are evaluated once per slice
-    kind = spec._kinds[k - 1]
-    if kind is not None:
-        return fundamental(kind, ctx)
-    if spec.recipe == "oconnell-pei-nn":
-        return _oc_nn_solution(ctx)
-    if spec.recipe == "det-insertion":
-        return _det_insertion_solution(ctx, spec.h[k - 1])
-    if spec.recipe == "mixing":
-        sols = [_solution(comp, k, ctx) for comp in spec.components]
-        if callable(spec.weights):
-            thetas = spec.weights(k, ctx.nu_bar, ctx.lam)
-        else:
-            thetas = spec.weights
-        return mix(sols, list(thetas))
-    raise InvalidInput(f"recipe {spec.recipe!r} has no slice solution")
+    ctx = SliceContext(tuple(nu_bar), tuple(lam), spec.params)
+    w, c, r = _level_rows(spec, k, ctx)
+    return SliceSolution(dict(zip(ctx.free, w)), dict(zip(ctx.pushers, c)), dict(zip(ctx.pushers, r)))
 
 
 _STATE_TABLE_SIZE = 1 << 15  # entries per table; later ones are recomputed on use
@@ -238,48 +228,83 @@ class _DynamicsTables:
 
 
 def _slice_data(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Cached float view of the dynamics on a slice: (entries, branch).
+    """Cached float view of _slice_rules on the slice (nu_bar, lam), whose
+    level k is len(lam).
 
-    entries holds (k, m, a_k * w_m) for every index m with w_m > 0, in index
-    order.  branch[j - 1] lists the triggered moves after lower particle j
-    moved without a short push, as (threshold, target, cause) outcomes with
-    increasing thresholds: propagate draws u uniform on [0, 1) and takes the
-    first outcome with u < threshold, or none.  Outcomes of probability zero
-    are left out.  States recur heavily during an ensemble, so the per-slice
-    solve is memoized in the spec's table on the slice (the level is
-    len(lam)), and equal entry tuples are shared by every node holding them."""
+    At exact params each threshold is converted to float here; the rates
+    are floats already.  States recur heavily during an ensemble, so the
+    view is memoized in the spec's table on the slice, and equal entry
+    tuples are shared by every node holding them."""
     slices = spec._tables.slices
     hit = slices.get((nu_bar, lam))
     if hit is not None:
         return hit
-    if spec.recipe == "oconnell-pei":
-        data = _insertion_slice(spec, k, nu_bar, lam)
-    else:
-        data = _nearest_neighbor_slice(spec, k, nu_bar, lam)
+    params = spec.params
+    entries, branch = _slice_rules(spec, k, SliceContext(nu_bar, lam, params))
+    if params.is_exact:
+        branch = tuple(tuple((float(th), m, cause) for th, m, cause in b) for b in branch)
+    data = entries, branch
     if len(slices) < _STATE_TABLE_SIZE:
         slices[(nu_bar, lam)] = data
     return data
 
 
-def _nearest_neighbor_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Slice data of a (w, c, r) dynamics: pusher j pushes to xi(j) with
-    probability r_j and pulls j + 1 with probability c_j - r_j.  Every rate
-    and probability is checked for honesty."""
-    ctx = SliceContext(nu_bar, lam, spec.params)
-    free, pushers = ctx.free, ctx.pushers
-    kind = spec._kinds[k - 1]
-    if kind is not None:
-        w, c, r = fundamental_rows(kind, ctx)
-    else:
-        sol = _solution(spec, k, ctx)
-        w = [sol.w[m] for m in free]
-        c = [sol.c[j] for j in pushers]
-        r = [sol.r[j] for j in pushers]
+def _slice_rules(spec: DynamicsSpec, k: int, ctx: SliceContext):
+    """The dynamics on a slice, in the type of the params: (entries, branch).
+
+    entries holds (k, m, float(a_k) * w_m) for every index m with w_m > 0, in
+    index order; float times Fraction rounds as float(a_k) * float(w_m).
+    branch[j - 1] lists the triggered moves after lower particle j moved
+    without a short push, as (threshold, target, cause) outcomes with
+    increasing thresholds: propagate draws u uniform on [0, 1) and takes the
+    first outcome with u < threshold, or none.  Outcomes of probability zero
+    are left out.
+
+    A (w, c, r) recipe pushes pusher j to xi(j) with probability r_j and
+    pulls j + 1 with probability c_j - r_j.  The randomized insertion (the
+    t = 0 long-range recipe) jumps index j at rate a_k (1 - F_j) F_{j+1} ...
+    F_k, and a move of lower particle j pushes j with probability f_j, else
+    the first target m < j with probability (1 - F_m) F_{m+1} ... F_{j-1}
+    (1 - f_j).  Every rate and probability is checked for honesty: exact
+    values by their sign, float values within _PROB_TOL."""
     a_k = float(spec.a[k - 1])
     entries = []
-    for m, v in zip(free, w):
-        v = float(v)
-        if v < -_PROB_TOL:
+    if spec.recipe == "oconnell-pei":
+        one = ctx.params.one()
+        tol = 0 if ctx.params.is_exact else _PROB_TOL
+        F = [F_quant(ctx, j) for j in range(1, k + 2)]  # F[i - 1] is F_i
+        # each product is taken left to right, from its (1 - F_m) factor up
+        for j in range(1, k + 1):
+            rate = math.prod(F[j:k], start=1 - F[j - 1])
+            if rate:
+                entries.append((k, j, a_k * rate))
+        branch = []
+        for j in range(1, k):
+            fj = f_quant(ctx, j)
+            probs = [fj] + [  # of the targets j, j - 1, ..., 1
+                math.prod(F[m:j - 1], start=(1 - F[m - 1]) * (1 - fj)) for m in range(j - 1, 0, -1)
+            ]
+            sums = list(accumulate(probs))
+            if min(probs) < -tol or not abs(sums[-1] - 1) <= tol:
+                raise InvariantViolation(
+                    f"randomized insertion probabilities {probs} at level {k}, index {j} "
+                    f"are not a distribution"
+                )
+            outcomes = [
+                (th, target, "long_push")
+                for th, p, target in zip(sums, probs, range(j, 0, -1))
+                if p > 0
+            ]
+            outcomes[-1] = (one, outcomes[-1][1], "long_push")  # the last takes every u
+            branch.append(tuple(outcomes))
+        return tuple(entries), tuple(branch)
+    kind = spec._kinds[k - 1]  # _level_rows's first step, inlined to save a call per slice
+    w, c, r = fundamental_rows(kind, ctx) if kind is not None else _level_rows(spec, k, ctx)
+    # values below low are dishonest; a mixing with float weights gives
+    # float rows at exact params too
+    low = -_PROB_TOL if isinstance(w[0], float) else 0
+    for m, v in zip(ctx.free, w):
+        if v < low:
             raise InvariantViolation(
                 f"negative jump rate {v} at level {k}, index {m}: {spec.recipe} is not "
                 f"an honest dynamics on this state"
@@ -288,11 +313,11 @@ def _nearest_neighbor_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tupl
             entries.append((k, m, a_k * v))
     branch = [()] * (k - 1)
     # xi(j) of a pusher j is the free index next below j + 1
-    for j, target, cj, rj in zip(pushers, free, c, r):
-        cj, rj = float(cj), float(rj)
-        if rj < -_PROB_TOL or cj - rj < -_PROB_TOL or cj > 1 + _PROB_TOL:
+    for j, target, cj, rj in zip(ctx.pushers, ctx.free, c, r):
+        if rj < low or cj - rj < low or cj > 1 - low:
             raise InvariantViolation(
-                f"triggered-move probabilities outside [0,1] at level {k}: c={cj}, r={rj}"
+                f"triggered-move probabilities outside [0,1] at level {k}, index {j}: "
+                f"c={cj}, r={rj}"
             )
         outcomes = []
         if rj > 0:
@@ -300,46 +325,6 @@ def _nearest_neighbor_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tupl
         if cj > rj:
             outcomes.append((cj, j + 1, "pull"))
         branch[j - 1] = tuple(outcomes)
-    return tuple(entries), tuple(branch)
-
-
-def _insertion_slice(spec: DynamicsSpec, k: int, nu_bar: tuple, lam: tuple):
-    """Slice data of the randomized insertion (the t = 0 long-range recipe):
-    index j jumps at rate a_k (1 - F_j) F_{j+1} ... F_k, and a move of lower
-    particle j pushes j with probability f_j, else the first target m < j
-    with probability (1 - F_m) F_{m+1} ... F_{j-1} (1 - f_j)."""
-    ctx = SliceContext(nu_bar, lam, spec.params)
-    F = [float(v) for v in _F_values(ctx)]
-    a_k = float(spec.a[k - 1])
-    entries = []
-    for j in range(1, k + 1):
-        rate = 1 - F[j - 1]
-        for rr in range(j + 1, k + 1):
-            rate *= F[rr - 1]
-        if rate:
-            entries.append((k, j, a_k * rate))
-    branch = []
-    for j in range(1, k):
-        fj = float(f_quant(ctx, j))
-        probs = [fj]  # of the targets j, j - 1, ..., 1
-        for target in range(j - 1, 0, -1):
-            p = (1 - F[target - 1]) * (1 - fj)
-            for rr in range(target + 1, j):
-                p *= F[rr - 1]
-            probs.append(p)
-        sums = list(accumulate(probs))
-        if min(probs) < -_PROB_TOL or not abs(sums[-1] - 1) <= _PROB_TOL:
-            raise InvariantViolation(
-                f"randomized insertion probabilities {probs} at level {k}, index {j} "
-                f"are not a distribution"
-            )
-        outcomes = [
-            (th, target, "long_push")
-            for th, p, target in zip(sums, probs, range(j, 0, -1))
-            if p > 0
-        ]
-        outcomes[-1] = (1.0, outcomes[-1][1], "long_push")  # the last takes every u
-        branch.append(tuple(outcomes))
     return tuple(entries), tuple(branch)
 
 

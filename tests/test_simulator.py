@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from macdyn.arrays import InterlacingArray
-from macdyn.classifier import SliceContext, check_system, iter_slices
-from macdyn.errors import InvalidInput, InvariantViolation
+from macdyn.classifier import SliceContext, check_system, iter_slices, mix
+from macdyn.errors import Infeasible, InvalidInput, InvariantViolation
 from macdyn.insertions import h_insert_trace
 from macdyn.macdonald import MacParams
 from macdyn.simulator import (
@@ -233,7 +233,7 @@ class TestRatesAndPropagation:
         monkeypatch.setattr(sim, "SliceContext", counted)
         sol = slice_solution(spec, 3, (2, 1), (3, 2, 0))
         assert len(built) == 1
-        assert sol == sim.mix(want, [0.5, 0.25, 0.25])
+        assert sol == mix(want, [0.5, 0.25, 0.25])
 
 
 class TestSimulate:
@@ -877,22 +877,41 @@ def _branch_c_r(branch, pushers):
 
 class TestSliceCacheKey:
     def test_mixings_with_equal_weights_keep_their_own_slices(self):
-        params = MacParams(0.5, 0.0)
+        # also every other nearest-neighbor recipe, at one exact point per
+        # mode: _slice_data is the float view of slice_solution, and a slice
+        # fails its build exactly when its solution is dishonest, by sign at
+        # the exact points
+        for q, t in ((0.5, 0.0), (F(1, 2), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1, 3))):
+            params = MacParams(q, t)
+            half = F(1, 2) if params.is_exact else 0.5
 
-        def make(recipe, h=None, **kw):
-            return DynamicsSpec(params=params, a=(1.0,) * 3, depth=3, recipe=recipe, h=h, **kw)
+            def make(recipe, h=None, **kw):
+                return DynamicsSpec(params=params, a=(1.0,) * 3, depth=3, recipe=recipe, h=h, **kw)
 
-        for other in (make("rsk", (1, 1, 1)), make("r", (1, 1))):
-            spec = make("mixing", components=(make("pb"), other), weights=(0.5, 0.5))
-            for nb, lam in iter_slices(3, 4):
-                entries, branch = _slice_data(spec, 3, nb, lam)  # a_3 = 1
-                w_items = tuple((m, v) for _, m, v in entries)
-                pushers = SliceContext(nb, lam, params).pushers
-                c, r = _branch_c_r(branch, pushers)
-                sol = slice_solution(spec, 3, nb, lam)
-                assert w_items == tuple((m, float(v)) for m, v in sorted(sol.w.items()) if v > 0)
-                assert c == {j: float(v) for j, v in sol.c.items()}, (nb, lam)
-                assert r == {j: float(v) for j, v in sol.r.items()}, (nb, lam)
+            specs = [
+                make("mixing", components=(make("pb"), other), weights=(half, half))
+                for other in (make("rsk", (1, 1, 1)), make("r", (1, 1)))
+            ]
+            specs += [make("pb"), make("qrow"), make("rsk", (1, 2, 3)), make("r", (1, 2)),
+                      make("l", (1, 2)), make("det-insertion", (1, 2, 2))]
+            if t == 0:
+                specs.append(make("oconnell-pei-nn"))
+            tol = 0 if params.is_exact else 1e-9
+            for spec in specs:
+                for nb, lam in iter_slices(3, 4):
+                    sol = slice_solution(spec, 3, nb, lam)
+                    if not sol.is_honest(tol):
+                        with pytest.raises(InvariantViolation):
+                            _slice_data(spec, 3, nb, lam)
+                        continue
+                    entries, branch = _slice_data(spec, 3, nb, lam)  # a_3 = 1
+                    w_items = tuple((m, v) for _, m, v in entries)
+                    pushers = SliceContext(nb, lam, params).pushers
+                    c, r = _branch_c_r(branch, pushers)
+                    want_w = tuple((m, float(v)) for m, v in sorted(sol.w.items()) if v > 0)
+                    assert w_items == want_w, (spec.recipe, nb, lam)
+                    assert c == {j: float(v) for j, v in sol.c.items()}, (spec.recipe, nb, lam)
+                    assert r == {j: float(v) for j, v in sol.r.items()}, (spec.recipe, nb, lam)
 
     def test_exact_parameters_do_not_leak_into_float_runs(self):
         def logs(q, t):
@@ -902,6 +921,60 @@ class TestSliceCacheKey:
         fresh = logs(0.5, 0.25)
         logs(F(1, 2), F(1, 4))
         assert logs(0.5, 0.25) == fresh
+
+
+class TestHonesty:
+    def test_an_exact_rate_just_below_zero_aborts(self):
+        # r(1) at (1/4, 1/2) on this slice has the exact jump rate
+        # w_1 = -536870912/1152921501922492417, about -4.7e-10: exact params
+        # decide honesty by sign, float params let it pass within 1e-9
+        def spec(q, t):
+            params = MacParams(q, t)
+            return DynamicsSpec(params=params, a=(1.0,) * 3, depth=3, recipe="r", h=(1, 1))
+
+        with pytest.raises(InvariantViolation, match=r"level 3, index 1\b"):
+            _slice_data(spec(F(1, 4), F(1, 2)), 3, (18, 3), (18, 3, 3))
+        entries, _ = _slice_data(spec(0.25, 0.5), 3, (18, 3), (18, 3, 3))
+        assert [m for _, m, _ in entries] == [2]
+
+    def test_float_weights_keep_the_float_tolerance_at_exact_params(self):
+        # every component propagates with c_j = 1, and these float weights
+        # sum to 1 + 2^-52 in float: the mixing's rows are floats, so its
+        # honesty is decided within 1e-9, not by sign
+        params = MacParams(F(1, 2), F(1, 2))
+
+        def make(recipe, **kw):
+            return DynamicsSpec(params=params, a=(1.0,) * 3, depth=3, recipe=recipe, **kw)
+
+        comps = tuple(make("rsk", h=h) for h in ((1, 1, 1), (1, 2, 2), (1, 2, 3)))
+        spec = make("mixing", components=comps, weights=(0.33, 0.56, 0.11))
+        _, branch = _slice_data(spec, 3, (2, 1), (3, 2, 0))
+        assert max(th for outcomes in branch for th, _, _ in outcomes) == 1 + 2 ** -52
+
+    def test_constant_mixing_weights_must_sum_to_one(self):
+        comps = tuple(
+            DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe=recipe, h=h)
+            for recipe, h in (("pb", None), ("rsk", (1, 1, 1)))
+        )
+        spec = DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="mixing",
+                            components=comps, weights=(0.5, 0.4))
+        with pytest.raises(Infeasible, match="weights sum to 0.9"):
+            simulate(spec, 1.0, seed=1)
+
+    def test_callable_mixing_weights_must_sum_to_one_on_every_slice(self):
+        comps = tuple(
+            DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe=recipe, h=h)
+            for recipe, h in (("pb", None), ("rsk", (1, 1, 1)))
+        )
+
+        def weights(k, nu_bar, lam):
+            return (0.5, 0.5) if sum(lam) % 2 == 0 else (0.5, 0.4)
+
+        spec = DynamicsSpec(params=QW, a=(1.0,) * 3, depth=3, recipe="mixing",
+                            components=comps, weights=weights)
+        _slice_data(spec, 3, (2, 1), (3, 1, 0))
+        with pytest.raises(Infeasible, match="weights sum to 0.9"):
+            _slice_data(spec, 3, (2, 1), (3, 2, 0))
 
 
 class TestInsertionBranch:

@@ -18,10 +18,10 @@ same script can digest any checkout.  The grid:
   general-point simulation visits;
 - fixed-seed `simulate` event logs for pb, qrow, rsk, det-insertion, a
   constant-weight mixing, a mixing whose weights depend on the slice and
-  (at the t = 0 points) oconnell-pei, at N = 4
-  and four parameter points, hashed three times: on fresh specs, whose
-  tables start empty, again on the same specs with the tables the first
-  pass filled, and again on newly built specs;
+  (at the t = 0 points) oconnell-pei, at N = 4 and five parameter points,
+  two of them exact, hashed three times: on fresh specs, whose tables
+  start empty, again on the same specs with the tables the first pass
+  filled, and again on newly built specs;
 - the final arrays of a 300-trajectory `run_ensemble` for every spec of the
   simulate grid, hashed on newly built specs and again on the same specs
   with the tables the first pass filled;
@@ -73,7 +73,7 @@ SEEDED_POINTS = ((0.5, 0.3), (0.25, 0.5))
 SEEDED_LEVELS = (6, 7)
 SEEDED_SLICES = 150  # per point and level
 SEEDED_COORD = 12
-SIM_POINTS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.3), (F(1, 2), F(1, 3)))
+SIM_POINTS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.3), (F(1, 2), F(1, 3)), (F(1, 3), F(0)))
 SIM_DEPTH = 4
 SIM_SEEDS = range(4)
 ENSEMBLE_SAMPLES = 300
